@@ -13,6 +13,7 @@
 //! Exit codes: 0 clean, 1 findings/violations under the requested
 //! gates, 2 usage or I/O error.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -22,13 +23,21 @@ use sst_analyze::models::{AdmissionModel, PoolModel};
 use sst_analyze::rules::{lint_source, Finding, RuleConfig};
 use sst_analyze::workspace::collect_sources;
 
+/// `println!` that ends the process cleanly (status 0) once stdout's
+/// reader has gone away (`… | head`), where the std macro panics.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        crate::write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (cmd, rest) = match args.first().map(String::as_str) {
         Some("lint") => ("lint", &args[1..]),
         Some("check-sync") => ("check-sync", &args[1..]),
         Some("--help" | "-h" | "help") => {
-            print!("{USAGE}");
+            write_stdout(USAGE);
             return ExitCode::SUCCESS;
         }
         // Bare flags default to `lint`.
@@ -258,4 +267,16 @@ fn run_check_sync(rest: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::FAILURE);
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// Writes `text` to stdout; a closed reader (`BrokenPipe`) is a clean
+/// exit, any other write error fails the run.
+fn write_stdout(text: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("sst-analyze: stdout: {e}");
+        std::process::exit(2);
+    }
 }

@@ -13,6 +13,15 @@
 use rayon::prelude::*;
 use sst_bench::figures::{run_one, ALL};
 use sst_bench::{Ctx, Scale};
+use std::io::Write;
+
+/// `println!` that ends the process cleanly (status 0) once stdout's
+/// reader has gone away (`… | head`), where the std macro panics.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        crate::write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// Order-preserving dedup: keeps the first occurrence of each target.
 /// (`Vec::dedup` only collapses *adjacent* repeats, so
@@ -110,6 +119,17 @@ fn main() {
                 None => eprintln!("# unknown figure id '{id}' (try 'list')"),
             }
         }
+    }
+}
+
+/// Writes `text` to stdout; a closed reader (`BrokenPipe`) is a clean
+/// exit, any other write error fails the run.
+fn write_stdout(text: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die(&format!("stdout: {e}"));
     }
 }
 

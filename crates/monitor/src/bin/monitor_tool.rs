@@ -77,6 +77,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// `println!` that ends the process cleanly (status 0) once stdout's
+/// reader has gone away (`… | head`), where the std macro panics.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        crate::write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.into_iter();
@@ -244,12 +252,14 @@ fn run(rest: Vec<String>) {
         );
     }
     let snap = engine.full_snapshot();
-    report(&snap);
+    // The file first: a reader closing stdout early ends the run
+    // during the report.
     if let Some(path) = snapshot_path {
         let bytes = encode_snapshot(&snap);
         std::fs::write(&path, &bytes).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
         eprintln!("wrote {path}: {} bytes", bytes.len());
     }
+    report(&snap);
 }
 
 fn serve(rest: Vec<String>) {
@@ -426,12 +436,14 @@ fn serve(rest: Vec<String>) {
         aggs.estimated_state_bytes() >> 10
     );
     let snap = aggs.snapshot();
-    report(&snap);
+    // The file first: a reader closing stdout early ends the run
+    // during the report.
     if let Some(path) = out {
         let bytes = encode_snapshot(&snap);
         std::fs::write(&path, &bytes).unwrap_or_else(|e| die(&format!("write {path}: {e}")));
         eprintln!("wrote {path}: {} bytes", bytes.len());
     }
+    report(&snap);
 }
 
 /// The historical transport: one blocking thread per accepted
@@ -781,6 +793,17 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> T {
 fn load(path: &str) -> EngineSnapshot {
     let bytes = std::fs::read(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
     decode_snapshot(&bytes).unwrap_or_else(|e| die(&format!("decode {path}: {e}")))
+}
+
+/// Writes `text` to stdout; a closed reader (`BrokenPipe`) is a clean
+/// exit, any other write error fails the run.
+fn write_stdout(text: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die(&format!("stdout: {e}"));
+    }
 }
 
 fn die(msg: &str) -> ! {

@@ -18,12 +18,16 @@
 //! snapshot is the same bits.
 //!
 //! A tiered collector ([`crate::TierConfig`]) additionally ships its
-//! cumulative sketch-tier image on the last `Delta` of every flush;
-//! the aggregator holds the latest image per collector (replace
-//! semantics, like the live view) and folds them into its assembled
-//! snapshot. The aggregator can also tier *itself*:
-//! [`Aggregator::max_exact_keys`] caps each collector's retired store,
-//! demoting the smallest finals into a per-collector sketch.
+//! cumulative sketch-tier image on the last `Delta` of a flush; the
+//! aggregator holds the latest image per collector (replace semantics,
+//! like the live view) and folds them into its assembled snapshot. A
+//! sequenced collector ships the image only when it changed since the
+//! last one it sealed (a sketchless `Delta` leaves the aggregator's
+//! image in place; a resync's `FullSnapshot` always carries it); the
+//! unsequenced [`Collector::flush`] ships it on every flush. The
+//! aggregator can also tier *itself*: [`Aggregator::max_exact_keys`]
+//! caps each collector's retired store, demoting the smallest finals
+//! into a per-collector sketch.
 //!
 //! ## The wire-boundary merge-equivalence guarantee
 //!
@@ -79,6 +83,11 @@ struct SeqState {
     /// aggregator's live view diverged from `baseline` (lost frames, a
     /// restart, or server-side compaction rewriting entries under us).
     resyncs: u32,
+    /// The sketch-tier image the sealed frames leave at the aggregator:
+    /// the last one sealed on a `Delta` or `FullSnapshot`. A flush whose
+    /// image equals it seals none — sketchless `Delta`s leave the
+    /// aggregator's image in place.
+    sketch_sent: Option<SketchSnapshot>,
     /// Ship differential frames where they are smaller. Auto-cleared
     /// past [`RESYNC_DIFF_LIMIT`]: against a peer that keeps diverging
     /// (e.g. an aggregator compacting its live entries), diffs only
@@ -97,6 +106,7 @@ impl SeqState {
             bye_sealed: false,
             baseline: BTreeMap::new(),
             resyncs: 0,
+            sketch_sent: None,
             diff_enabled: true,
         }
     }
@@ -372,7 +382,10 @@ impl Collector {
     /// frames: `Evicted` frames for streams retired since the last
     /// seal (each final also tagged into the eviction log), then
     /// `DeltaDiff` frames for dirty keys whose differential encoding
-    /// beats the cumulative one, then `Delta` frames for the rest.
+    /// beats the cumulative one, then `Delta` frames for the rest; a
+    /// tiered engine's sketch image rides the last `Delta` when it
+    /// differs from the image last sealed (a flush with nothing dirty,
+    /// nothing evicted and an unchanged image seals no frame at all).
     /// Nothing is written — a transport writer ships
     /// [`Collector::unsent_window`] and trims it via
     /// [`Collector::ack`].
@@ -438,8 +451,18 @@ impl Collector {
         }
         // As in `flush`: the cumulative sketch image rides the last
         // sealed Delta (or an empty one when nothing ships cumulative)
-        // — never a DeltaDiff, whose payload is per-stream only.
-        let mut sketch = self.engine.sketch_snapshot();
+        // — never a DeltaDiff, whose payload is per-stream only — but
+        // only when it changed since the last image sealed. Replays
+        // keep the aggregator's image and every re-baseline carries
+        // one, so an unchanged image is already in place.
+        let st = self.seq.as_mut().expect("sequenced collector");
+        let mut sketch = self
+            .engine
+            .sketch_snapshot()
+            .filter(|sk| st.sketch_sent.as_ref() != Some(sk));
+        if sketch.is_some() {
+            st.sketch_sent.clone_from(&sketch);
+        }
         let chunks: Vec<&[StreamEntry]> = frame_chunks(&full).collect();
         let last = chunks.len().saturating_sub(1);
         for (i, chunk) in chunks.iter().enumerate() {
@@ -565,6 +588,7 @@ impl Collector {
             st.baseline
                 .extend(snap.streams().iter().map(|e| (e.key, e.clone())));
         }
+        st.sketch_sent = snap.sketch().cloned();
         st.seal(&Frame::FullSnapshot(snap));
         if st.bye_sealed {
             st.seal(&Frame::Bye);
@@ -655,6 +679,19 @@ pub enum SeqOutcome {
     },
 }
 
+/// The `n` smallest of `pairs`, ascending — the order repeatedly
+/// taking the minimum would visit them in. One selection pass plus a
+/// sort of the `n` picked: O(len + n log n), not O(len · n).
+fn smallest_first(pairs: impl Iterator<Item = (u64, u64)>, n: usize) -> Vec<(u64, u64)> {
+    let mut all: Vec<(u64, u64)> = pairs.collect();
+    if n < all.len() {
+        all.select_nth_unstable(n);
+        all.truncate(n);
+    }
+    all.sort_unstable();
+    all
+}
+
 /// Assembles frames from many collectors into one mergeable state.
 #[derive(Default)]
 pub struct Aggregator {
@@ -684,7 +721,9 @@ impl Aggregator {
     /// Caps each collector's **retired** store at `n` keys: beyond it,
     /// the smallest finals (minimum `(kept count, key)`) demote into a
     /// per-collector sketch — totals stay exact, per-key attribution of
-    /// the demoted tail becomes approximate. The *live* view is not
+    /// the demoted tail becomes approximate. The cap costs one
+    /// O(retired) selection pass per `Evicted` frame that overflows it,
+    /// however many finals that frame demotes. The *live* view is not
     /// capped here: live entries are cumulative views the collector
     /// replaces wholesale, so dropping one server-side would lose its
     /// totals; a collector bounds its own live table with
@@ -891,15 +930,17 @@ impl Aggregator {
                 // smallest finals — minimum `(kept count, key)`, a
                 // deterministic total order — into the per-collector
                 // absorbed sketch. Totals stay exact.
-                if let Some(cap) = self.max_exact_keys {
-                    while state.retired.len() > cap {
-                        let victim = state
-                            .retired
-                            .iter()
-                            .map(|(&k, e)| (e.summary.moments.count(), k))
-                            .min()
-                            .map(|(_, k)| k)
-                            .expect("retired store over a non-negative cap is non-empty");
+                // Nothing else touches the store while it drains, so the
+                // victims are picked once per frame, in demotion order.
+                let excess = self
+                    .max_exact_keys
+                    .map_or(0, |cap| state.retired.len().saturating_sub(cap));
+                if excess > 0 {
+                    let order = state
+                        .retired
+                        .iter()
+                        .map(|(&k, e)| (e.summary.moments.count(), k));
+                    for (_, victim) in smallest_first(order, excess) {
                         let e = state.retired.remove(&victim).expect("victim present");
                         let sk = state.absorbed.get_or_insert_with(SketchSnapshot::default);
                         sk.absorb_entry(&e);
@@ -1932,5 +1973,142 @@ mod tests {
         twice.ingest_stream(&mut pipe.as_slice(), 3).unwrap();
         twice.ingest_stream(&mut pipe.as_slice(), 3).unwrap();
         assert_eq!(once.snapshot(), twice.snapshot());
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn smallest_first_matches_repeated_min(
+                pairs in proptest::collection::vec((0u64..6, 0u64..64), 0..48),
+                cap in 0usize..40,
+            ) {
+                // Few distinct counts, so the key breaks most ties.
+                let store: BTreeMap<u64, u64> = pairs.iter().map(|&(c, k)| (k, c)).collect();
+                let mut naive = store.clone();
+                let mut want = Vec::new();
+                while naive.len() > cap {
+                    let min = naive.iter().map(|(&k, &c)| (c, k)).min().expect("non-empty");
+                    naive.remove(&min.1);
+                    want.push(min);
+                }
+                let excess = store.len().saturating_sub(cap);
+                let got = smallest_first(store.iter().map(|(&k, &c)| (c, k)), excess);
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// A tiered, never-evicting collector config: keys past 8 are
+    /// sketched for good (promotion off), so the engine's full
+    /// snapshot is exactly what the aggregator should assemble.
+    fn tiered_config() -> MonitorConfig {
+        config()
+            .max_exact_keys(8)
+            .promote_after(1 << 40)
+            .sketch_bytes(1 << 14)
+    }
+
+    /// Sends `hello` (default: the collector's own) and its whole
+    /// unacked window over a fresh in-memory session; applies the
+    /// returned `Ack`s and hands back a `Resync` request, if any.
+    fn connect(c: &mut Collector, agg: &mut Aggregator, hello: Option<Frame>) -> Option<u64> {
+        let mut bytes = encode_frame(&hello.unwrap_or_else(|| c.hello())).to_vec();
+        for (_, b) in c.unsent_window(0) {
+            bytes.extend_from_slice(b);
+        }
+        let mut driver = SessionDriver::new(999);
+        driver.push(&bytes, agg).expect("clean link");
+        let mut resync = None;
+        for f in crate::wire::decode_frames(&driver.take_outbound()).expect("control frames") {
+            match f {
+                Frame::Ack { through_seq } => c.ack(through_seq),
+                Frame::Resync { from_seq } => resync = Some(from_seq),
+                other => panic!("unexpected control frame {other:?}"),
+            }
+        }
+        resync
+    }
+
+    /// Seals a flush; returns how many frames it sealed and how many of
+    /// them carry a sketch image.
+    fn seal_counting(c: &mut Collector) -> (u64, usize) {
+        let before = c.next_seq();
+        c.seal_flush();
+        let mut bytes = Vec::new();
+        for (_, b) in c.unsent_window(before) {
+            bytes.extend_from_slice(b);
+        }
+        let frames = crate::wire::decode_frames(&bytes).expect("sealed frames");
+        let images = frames
+            .iter()
+            .filter(
+                |f| matches!(f, Frame::Delta(s) | Frame::FullSnapshot(s) if s.sketch().is_some()),
+            )
+            .count();
+        (c.next_seq() - before, images)
+    }
+
+    #[test]
+    fn unchanged_sketch_image_is_sealed_once() {
+        let mut c = Collector::new_sequenced(6, tiered_config());
+        let mut agg = Aggregator::new();
+        // The first flush carries the image, even an empty one.
+        c.offer_batch(&keyed_points(500, 4));
+        assert_eq!(seal_counting(&mut c), (1, 1), "first flush");
+        assert_eq!(connect(&mut c, &mut agg, None), None);
+        assert_eq!(agg.snapshot(), c.engine().full_snapshot());
+        // Idle: no dirty keys, no evictions — nothing to seal at all.
+        assert_eq!(seal_counting(&mut c), (0, 0), "idle flush");
+        // Exact keys only: their entries ship, the unchanged image not,
+        // and the aggregator keeps the one it holds.
+        c.offer_batch(&keyed_points(500, 4));
+        let (frames, images) = seal_counting(&mut c);
+        assert!(frames > 0);
+        assert_eq!(images, 0, "unchanged image re-sealed");
+        assert_eq!(connect(&mut c, &mut agg, None), None);
+        assert_eq!(agg.snapshot(), c.engine().full_snapshot());
+        // New keys past the exact cap change the tier: the image ships.
+        let tail: Vec<(u64, f64)> = (100..300u64).map(|k| (k, 2.0)).collect();
+        c.offer_batch(&tail);
+        assert_eq!(seal_counting(&mut c).1, 1, "flush after a tier change");
+        assert_eq!(connect(&mut c, &mut agg, None), None);
+        let want = c.engine().full_snapshot();
+        assert!(want.sketch().is_some_and(|sk| sk.sampler.offered > 0));
+        assert_eq!(agg.snapshot(), want);
+    }
+
+    #[test]
+    fn restarted_aggregator_gets_the_image_through_resync() {
+        let mut c = Collector::new_sequenced(6, tiered_config());
+        let mut agg = Aggregator::new();
+        let mut pts = keyed_points(2_000, 4);
+        pts.extend((100..300u64).map(|k| (k, 2.0)));
+        c.offer_batch(&pts);
+        c.seal_flush();
+        assert_eq!(connect(&mut c, &mut agg, None), None);
+        // The image is in place; the next flush ships exact keys only.
+        c.offer_batch(&keyed_points(1_000, 4));
+        assert_eq!(seal_counting(&mut c).1, 0);
+        // The aggregator restarts empty: the replay has a gap, the
+        // collector re-baselines, and the window lands.
+        let mut restarted = Aggregator::new();
+        let from = connect(&mut c, &mut restarted, None).expect("gap asks for a resync");
+        assert_eq!(from, 0);
+        let hello = c.handle_resync(from);
+        assert_eq!(connect(&mut c, &mut restarted, Some(hello)), None);
+        let want = c.engine().full_snapshot();
+        assert!(want.sketch().is_some_and(|sk| sk.sampler.offered > 0));
+        assert_eq!(restarted.snapshot(), want);
+        // The resync's image counts as sent: an exact-only flush after
+        // it seals none, and both sides still agree.
+        c.offer_batch(&keyed_points(1_000, 4));
+        assert_eq!(seal_counting(&mut c).1, 0);
+        assert_eq!(connect(&mut c, &mut restarted, None), None);
+        assert_eq!(restarted.snapshot(), c.engine().full_snapshot());
     }
 }

@@ -1550,6 +1550,13 @@ impl MultiLoopServer {
         for (i, l) in listeners.iter().enumerate() {
             backend.register(l.as_raw_fd(), i as u64)?;
         }
+        // Each worker leaving `run()` writes a byte here, so the
+        // dispatcher ends the moment the last one exits rather than at
+        // its next timed wait.
+        let (exit_tx, exit_rx) = UnixStream::pair()?;
+        exit_tx.set_nonblocking(true)?;
+        exit_rx.set_nonblocking(true)?;
+        backend.register(exit_rx.as_raw_fd(), TOKEN_WAKE)?;
 
         let mut workers = Vec::with_capacity(n);
         let mut senders = Vec::with_capacity(n);
@@ -1588,9 +1595,12 @@ impl MultiLoopServer {
                 .into_iter()
                 .map(|server| {
                     let sh = shared.clone();
+                    let exit_tx = &exit_tx;
                     scope.spawn(move || {
                         let res = server.run();
                         sh.exited.fetch_add(1, Ordering::SeqCst);
+                        // A full pipe is fine: the dispatcher is waking.
+                        let _ = (&*exit_tx).write(&[1]);
                         res
                     })
                 })
@@ -1604,7 +1614,15 @@ impl MultiLoopServer {
                 // through the shared clock.
                 Ok(())
             } else {
-                Self::dispatch(&listeners, backend.as_mut(), &senders, &shared, &opts, n)
+                Self::dispatch(
+                    &listeners,
+                    backend.as_mut(),
+                    &exit_rx,
+                    &senders,
+                    &shared,
+                    &opts,
+                    n,
+                )
             };
             // Hang up the handoff queues — workers drain what is
             // queued, then see `Disconnected` and finish — and nudge
@@ -1651,13 +1669,15 @@ impl MultiLoopServer {
         Ok((AggregatorSet::new(per_loop), report))
     }
 
-    /// The dispatcher loop: waits on the listeners, accepts, and deals
+    /// The dispatcher loop: waits on the listeners and on `exits` (a
+    /// byte per worker that left its loop), accepts, and deals
     /// connections round-robin to the workers. Also the idle-deadline
     /// authority of last resort — it re-checks the shared clock even
     /// when every worker is parked on an empty loop.
     fn dispatch(
         listeners: &[Listener],
         backend: &mut dyn Backend,
+        mut exits: &UnixStream,
         senders: &[mpsc::Sender<SessionStream>],
         shared: &ServeShared,
         opts: &ServeOptions,
@@ -1669,8 +1689,8 @@ impl MultiLoopServer {
             if shared.stopped() || shared.exited.load(Ordering::SeqCst) >= n {
                 return Ok(());
             }
-            // Cap the wait so stop/exited flags are noticed within a
-            // tick even without a readiness event.
+            // Worker exits wake the wait; only the idle deadline, which
+            // moves with every byte delivered, needs a timed slice.
             let timeout_ms = match opts.accept_timeout {
                 Some(t) => {
                     let idle = shared.idle_for();
@@ -1680,13 +1700,20 @@ impl MultiLoopServer {
                     }
                     (t - idle).as_millis().min(100) as i32 + 1
                 }
-                None => 100,
+                None => -1,
             };
             ready.clear();
             if backend.wait(timeout_ms, &mut ready)? == 0 {
                 continue;
             }
             for &token in &ready {
+                if token == TOKEN_WAKE {
+                    // Drain (the backends are level-triggered); the
+                    // `exited` check above decides whether to end.
+                    let mut buf = [0u8; 64];
+                    while matches!(exits.read(&mut buf), Ok(n) if n > 0) {}
+                    continue;
+                }
                 let Some(listener) = listeners.get(token as usize) else {
                     continue;
                 };

@@ -307,3 +307,33 @@ fn threaded_serve_survives_a_bad_session_and_matches_run() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A reader that closes stdout before the report (`… | head -1`) ends
+/// the run cleanly: no panic text, exit status 0, and the snapshot file
+/// written all the same.
+#[test]
+fn closed_stdout_is_a_clean_exit() {
+    let dir = scratch_dir("closed_stdout");
+    let snap = dir.join("run.ssm");
+    let mut child = tool()
+        .args(["run", "--seed", SEED, "--duration", DURATION, "--snapshot"])
+        .arg(&snap)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn run");
+    // Close the only read end before the report is written.
+    drop(child.stdout.take());
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr")
+        .read_to_string(&mut stderr)
+        .expect("read stderr");
+    let status = child.wait().expect("wait");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(status.code(), Some(0), "stderr: {stderr}");
+    assert!(std::fs::metadata(&snap).is_ok_and(|m| m.len() > 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -12,8 +12,11 @@
 //!   and the sketch image rides the collector → aggregator topology
 //!   byte-identically.
 
-use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::{encode_snapshot, MonitorConfig, MonitorEngine, SamplerSpec, TierConfig};
+use sst_monitor::topology::{Aggregator, Collector, SessionDriver};
+use sst_monitor::{
+    decode_frames, encode_frame, encode_snapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
+    TierConfig,
+};
 use sst_traffic::FgnGenerator;
 
 fn tiered(max_exact: usize) -> MonitorConfig {
@@ -426,4 +429,120 @@ fn serve_side_retired_cap_keeps_totals_exact() {
         tight.aggregate().moments.count()
     );
     assert!(capped.estimated_state_bytes() < plain.estimated_state_bytes());
+}
+
+/// FNV-1a over the encoded snapshot — a compact byte-identity pin.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// Ships a sequenced collector's unsent window (plus its `Hello` on
+/// first contact) into `agg`, applying the aggregator's `Ack`s.
+fn pump_sequenced(
+    collector: &mut Collector,
+    sent: &mut Option<u64>,
+    driver: &mut SessionDriver,
+    agg: &mut Aggregator,
+) {
+    let mut buf = Vec::new();
+    if sent.is_none() {
+        buf.extend_from_slice(&encode_frame(&collector.hello()));
+    }
+    for (_, bytes) in collector.unsent_window(sent.unwrap_or(0)) {
+        buf.extend_from_slice(bytes);
+    }
+    *sent = Some(collector.next_seq());
+    driver.push(&buf, agg).expect("clean in-memory link");
+    for f in decode_frames(&driver.take_outbound()).expect("control frames") {
+        match f {
+            Frame::Ack { through_seq } => collector.ack(through_seq),
+            other => panic!("healthy link answered {other:?}"),
+        }
+    }
+}
+
+/// Two sequenced tiered collectors whose keys drift through a sliding
+/// window: every key goes idle, is evicted, comes back and is evicted
+/// again, so the serve side merges repeat finals into held entries
+/// (changing their counts) while its capped retired store demotes.
+fn demotion_session(cap: usize, sketch_bytes: Option<usize>) -> Vec<u8> {
+    let config = |id: u64| {
+        MonitorConfig::default()
+            .sampler(SamplerSpec::Systematic { interval: 2 })
+            .seed(31 + id)
+            .max_exact_keys(40)
+            .sketch_bytes(1 << 14)
+            .evict_idle_after(1_500)
+            .sweep_every(256)
+    };
+    let mut agg = Aggregator::new().max_exact_keys(cap);
+    if let Some(b) = sketch_bytes {
+        agg = agg.sketch_bytes(b);
+    }
+    let mut collectors = [
+        Collector::new_sequenced(0, config(0)),
+        Collector::new_sequenced(1, config(1)),
+    ];
+    let mut drivers = [SessionDriver::new(900), SessionDriver::new(901)];
+    let mut sent = [None, None];
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut draw = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for window in 0..36u64 {
+        for _ in 0..2_000 {
+            // Skewed offsets inside a 97-key window that slides by 37
+            // keys over a 400-key ring: counts differ per key, and a
+            // key is away for ~8 windows before it returns.
+            let j = (draw() % 97).min(draw() % 97);
+            let key = (37 * window + j) % 400;
+            let v = (draw() % 1_500) as f64 + 1.0;
+            collectors[(key % 2) as usize].offer(key, v);
+        }
+        for c in 0..2 {
+            collectors[c].seal_flush();
+            pump_sequenced(&mut collectors[c], &mut sent[c], &mut drivers[c], &mut agg);
+        }
+    }
+    for c in 0..2 {
+        collectors[c].seal_finish();
+        pump_sequenced(&mut collectors[c], &mut sent[c], &mut drivers[c], &mut agg);
+        drivers[c].finish(&mut agg).expect("bye applied");
+    }
+    assert!(agg.all_done());
+    // Every key returns after its eviction: far more finals than keys,
+    // so held retired entries are merged into, not just inserted.
+    let evicted: u64 = collectors
+        .iter()
+        .map(|c| c.engine().lifecycle_stats().evicted)
+        .sum();
+    assert!(evicted > 2 * 400, "only {evicted} evictions");
+    encode_snapshot(&agg.snapshot()).to_vec()
+}
+
+#[test]
+fn serve_side_demotion_bytes_are_pinned() {
+    // Length and FNV-1a of the assembled snapshot for each retired-store
+    // cap, with and without a serve-side sketch budget. Recorded before
+    // the demotion loop was reworked; any change in victim order,
+    // absorb order or compaction shows up here.
+    let pins: [(usize, Option<usize>, usize, u64); 6] = [
+        (0, None, 55_056, 10_053_177_162_831_990_311),
+        (0, Some(1 << 12), 54_655, 3_448_867_078_199_153_693),
+        (1, None, 56_626, 14_664_073_781_302_977_694),
+        (1, Some(1 << 12), 56_225, 17_815_035_255_522_714_192),
+        (32, None, 106_450, 5_373_825_584_522_024_100),
+        (32, Some(1 << 12), 106_049, 5_011_813_946_988_378_855),
+    ];
+    let mut got = Vec::new();
+    for &(cap, budget, _, _) in &pins {
+        let bytes = demotion_session(cap, budget);
+        got.push((cap, budget, bytes.len(), fnv1a(&bytes)));
+    }
+    assert_eq!(got, pins);
 }

@@ -856,3 +856,56 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
         "restart must be invisible in the assembled bytes (full-snapshot resync)"
     );
 }
+
+/// `MultiLoopServer::run` returns as soon as its worker loops finish:
+/// the dispatcher wakes on their exit instead of at its next timed
+/// wait. Timed from the moment the last collector's `finish()` wrote
+/// its `Bye`; the minimum over a few runs discards scheduler noise.
+#[test]
+fn multi_loop_run_returns_promptly_after_the_last_session() {
+    let points = keyed_points(4_000, 8);
+    let dir = std::env::temp_dir().join(format!("sst_prompt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    for kind in backends_under_test() {
+        for accept_timeout in [None, Some(Duration::from_secs(60))] {
+            let mut best = Duration::MAX;
+            for run in 0..5 {
+                let path = dir.join(format!("agg_{kind}_{run}.sock"));
+                let _ = std::fs::remove_file(&path);
+                let mut server = MultiLoopServer::new(
+                    vec![Aggregator::new()],
+                    ServeOptions {
+                        collectors: 1,
+                        accept_timeout,
+                    },
+                )
+                .with_backend(kind);
+                server
+                    .add_unix_listener(UnixListener::bind(&path).expect("bind"))
+                    .expect("register uds");
+                let (finished, returned) = std::thread::scope(|scope| {
+                    let serve = scope.spawn(|| {
+                        let res = server.run();
+                        (res, Instant::now())
+                    });
+                    let mut sock = UnixStream::connect(&path).expect("connect");
+                    let mut c = Collector::new(1, config(SamplerSpec::TakeAll));
+                    c.offer_batch(&points);
+                    c.finish(&mut sock).expect("session");
+                    let finished = Instant::now();
+                    drop(sock);
+                    let (res, returned) = serve.join().expect("serve thread");
+                    let (_, rep) = res.expect("serve");
+                    assert_eq!(rep.completed, 1);
+                    (finished, returned)
+                });
+                best = best.min(returned.saturating_duration_since(finished));
+            }
+            assert!(
+                best < Duration::from_millis(40),
+                "{kind} {accept_timeout:?}: run() returned {best:?} after the last finish"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

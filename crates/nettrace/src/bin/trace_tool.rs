@@ -13,6 +13,14 @@
 use sst_nettrace::{decode, encode, PacketTrace, TraceSynthesizer};
 use std::io::Write;
 
+/// `println!` that ends the process cleanly (status 0) once stdout's
+/// reader has gone away (`… | head`), where the std macro panics.
+macro_rules! println {
+    ($($arg:tt)*) => {
+        crate::write_stdout(&format!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.into_iter();
@@ -114,6 +122,17 @@ fn load(path: &str) -> PacketTrace {
 
 fn expect_path(arg: Option<String>) -> String {
     arg.unwrap_or_else(|| die("missing trace path"))
+}
+
+/// Writes `text` to stdout; a closed reader (`BrokenPipe`) is a clean
+/// exit, any other write error fails the run.
+fn write_stdout(text: &str) {
+    if let Err(e) = std::io::stdout().lock().write_all(text.as_bytes()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        die(&format!("stdout: {e}"));
+    }
 }
 
 fn die(msg: &str) -> ! {
