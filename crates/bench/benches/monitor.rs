@@ -8,11 +8,23 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::transport::{BackendKind, EventLoopServer, MultiLoopServer, ServeOptions};
+use sst_monitor::transport::{BackendKind, MultiLoopServer, ServeOptions};
 use sst_monitor::EngineSnapshot;
 use sst_monitor::{
     decode_frames, encode_frame, Frame, MonitorConfig, MonitorEngine, SamplerSpec, WIRE_VERSION,
 };
+
+/// A one-loop serve (the `monitor_tool serve` default) with no idle
+/// deadline.
+fn one_loop(collectors: usize) -> MultiLoopServer {
+    MultiLoopServer::new(
+        vec![Aggregator::new()],
+        ServeOptions {
+            collectors,
+            accept_timeout: None,
+        },
+    )
+}
 
 /// Deterministic bursty multiplexed workload over `n_keys` streams.
 fn points(n: usize, n_keys: u64) -> Vec<(u64, f64)> {
@@ -290,19 +302,12 @@ fn bench_event_loop_serve(c: &mut Criterion) {
     ] {
         g.bench_function(id, |b| {
             b.iter(|| {
-                let mut server = EventLoopServer::new(
-                    Aggregator::new(),
-                    ServeOptions {
-                        collectors: SESSIONS as usize,
-                        accept_timeout: None,
-                    },
-                )
-                .with_backend(kind);
+                let mut server = one_loop(SESSIONS as usize).with_backend(kind);
                 let mut writers = Vec::with_capacity(pipes.len());
                 for _ in 0..pipes.len() {
                     let (tx, rx) = UnixStream::pair().expect("socketpair");
                     writers.push(tx);
-                    server.add_session(rx).expect("add_session");
+                    server.add_session(rx);
                 }
                 let feeder = std::thread::spawn({
                     let pipes = pipes.clone();
@@ -314,10 +319,10 @@ fn bench_event_loop_serve(c: &mut Criterion) {
                         }
                     }
                 });
-                let (agg, rep) = server.run().expect("event loop");
+                let (aggs, rep) = server.run().expect("serve");
                 feeder.join().expect("feeder");
                 assert_eq!(rep.completed, SESSIONS as usize);
-                agg.snapshot().stream_count()
+                aggs.snapshot().stream_count()
             });
         });
     }
@@ -392,13 +397,7 @@ fn bench_tcp_roundtrip(c: &mut Criterion) {
         b.iter(|| {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 1,
-                    accept_timeout: None,
-                },
-            );
+            let mut server = one_loop(1);
             server.add_tcp_listener(listener).expect("register");
             let writer = std::thread::spawn({
                 let session = session.clone();
@@ -407,10 +406,10 @@ fn bench_tcp_roundtrip(c: &mut Criterion) {
                     sock.write_all(&session).expect("write session");
                 }
             });
-            let (agg, rep) = server.run().expect("event loop");
+            let (aggs, rep) = server.run().expect("serve");
             writer.join().expect("writer");
             assert_eq!(rep.completed, 1);
-            agg.snapshot().stream_count()
+            aggs.snapshot().stream_count()
         });
     });
     g.finish();
@@ -440,15 +439,9 @@ fn bench_resync_after_kill(c: &mut Criterion) {
         b.iter(|| {
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
             let addr = listener.local_addr().expect("addr");
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 1,
-                    accept_timeout: None,
-                },
-            );
+            let mut server = one_loop(1);
             server.add_tcp_listener(listener).expect("register");
-            let server_thread = std::thread::spawn(move || server.run().expect("event loop"));
+            let server_thread = std::thread::spawn(move || server.run().expect("serve"));
             let mut collector =
                 Collector::new_sequenced(7, MonitorConfig::default().sampler(spec()).seed(3));
             // First connection: half the workload on the wire, then a
@@ -476,10 +469,10 @@ fn bench_resync_after_kill(c: &mut Criterion) {
                 64,
             );
             sender.finish().expect("resync within budget");
-            let (agg, rep) = server_thread.join().expect("server");
+            let (aggs, rep) = server_thread.join().expect("server");
             assert_eq!(rep.completed, 1);
             assert_eq!(
-                sst_monitor::encode_snapshot(&agg.snapshot()),
+                sst_monitor::encode_snapshot(&aggs.snapshot()),
                 reference_bytes,
                 "recovered snapshot must equal the unsharded bytes"
             );

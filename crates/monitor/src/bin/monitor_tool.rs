@@ -17,21 +17,18 @@
 //!     merge snapshots (disjoint or overlapping key sets) into one
 //! monitor-tool serve SOCKET [--tcp HOST:PORT] --collectors N [--out OUT.ssm]
 //!                  [--accept-timeout SECS] [--backend poll|epoll]
-//!                  [--loops N] [--report-sessions] [--threaded]
+//!                  [--loops N] [--report-sessions]
 //!                  [--max-exact-keys N] [--sketch-bytes B]
 //!     accept collector sessions on a Unix socket (and, with --tcp, a
 //!     TCP listener) until N sessions *delivered frames and closed
-//!     cleanly*, assemble them, print the merged report. The default
-//!     transport is the event loop on the platform-default readiness
-//!     backend (epoll on Linux; --backend poll for the portable
-//!     baseline); --loops N shards sessions across N event loops (one
-//!     per core) behind an accept dispatcher, and --report-sessions
-//!     prints per-session delivery counters so the loop balance is
-//!     inspectable. --threaded keeps the historical
-//!     one-blocking-thread-per-connection path (Unix socket only).
-//!     Hostile sessions — garbage bytes, mid-frame disconnects,
-//!     connect-and-close probes — are logged and isolated, never
-//!     fatal, on every transport. --max-exact-keys caps each session's
+//!     cleanly*, assemble them, print the merged report. An accept
+//!     dispatcher deals sessions to --loops N event loops (default 1;
+//!     one per core scales) on the platform-default readiness backend
+//!     (epoll on Linux; --backend poll for the portable baseline), and
+//!     --report-sessions prints per-session delivery counters so the
+//!     loop balance is inspectable. Hostile sessions — garbage bytes,
+//!     mid-frame disconnects, connect-and-close probes — are logged
+//!     and isolated, never fatal. --max-exact-keys caps each session's
 //!     *retired* store server-side (overflow finals demote into a
 //!     per-session sketch); --sketch-bytes compacts sketch images.
 //! monitor-tool forward TARGET [--tcp] [--id K] [--partition I/N] [--seed N]
@@ -52,7 +49,7 @@
 //! With the default (no-eviction) configuration, `serve` + N×`forward`
 //! on the same seed reproduce, byte for byte, the snapshot `run`
 //! computes single-process — the wire-boundary merge-equivalence
-//! guarantee, demoable from the shell, on either transport. With
+//! guarantee, demoable from the shell, over Unix sockets or TCP. With
 //! `--evict-idle` the clocks differ (each forwarder counts only its
 //! partition's points, `run` counts all), so a key that reappears after
 //! eviction restarts its sampler at different logical times: *totals*
@@ -60,22 +57,17 @@
 //! from `run`'s.
 
 use sst_monitor::retry::{Backoff, SequencedSender};
-use sst_monitor::topology::{Aggregator, AggregatorSet};
-use sst_monitor::transport::{
-    pump_blocking, BackendKind, EventLoopServer, MultiLoopServer, ServeOptions, ServeReport,
-    SessionStream, FALLBACK_ID_BASE,
-};
+use sst_monitor::topology::Aggregator;
+use sst_monitor::transport::{BackendKind, MultiLoopServer, ServeOptions, SessionStream};
 use sst_monitor::Collector;
 use sst_monitor::{
     decode_snapshot, encode_snapshot, EngineSnapshot, MonitorConfig, MonitorEngine, SamplerSpec,
 };
 use sst_nettrace::TraceSynthesizer;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// `println!` that ends the process cleanly (status 0) once stdout's
 /// reader has gone away (`… | head`), where the std macro panics.
@@ -271,8 +263,7 @@ fn serve(rest: Vec<String>) {
     let mut out: Option<String> = None;
     let mut tcp: Option<String> = None;
     let mut accept_timeout: Option<Duration> = None;
-    let mut threaded = false;
-    let mut backend: Option<BackendKind> = None;
+    let mut kind = BackendKind::default();
     let mut loops = 1usize;
     let mut report_sessions = false;
     let mut max_exact_keys: Option<usize> = None;
@@ -296,7 +287,7 @@ fn serve(rest: Vec<String>) {
                 }
             }
             "--backend" => {
-                backend = Some(num("--backend").parse().unwrap_or_else(|e: String| die(&e)));
+                kind = num("--backend").parse().unwrap_or_else(|e: String| die(&e));
             }
             "--loops" => {
                 loops = parse(&num("--loops"), "--loops");
@@ -311,21 +302,13 @@ fn serve(rest: Vec<String>) {
             "--sketch-bytes" => {
                 sketch_bytes = Some(parse(&num("--sketch-bytes"), "--sketch-bytes"));
             }
-            "--threaded" => threaded = true,
-            "--event-loop" => threaded = false, // The default; kept for explicitness.
             other => die(&format!("unexpected argument '{other}'")),
         }
     }
-    if threaded && (backend.is_some() || loops > 1 || report_sessions) {
-        die("--backend/--loops/--report-sessions need the event-loop transport (drop --threaded)");
-    }
-    let kind = backend.unwrap_or_default();
     let _ = std::fs::remove_file(&socket);
     let listener =
         UnixListener::bind(&socket).unwrap_or_else(|e| die(&format!("bind {socket}: {e}")));
-    let mode = if threaded {
-        "threaded".to_string()
-    } else if loops > 1 {
+    let mode = if loops > 1 {
         format!("{loops} event loops, {kind}")
     } else {
         format!("event loop, {kind}")
@@ -355,41 +338,19 @@ fn serve(rest: Vec<String>) {
         }
         a
     };
-    let (aggs, rep) = if threaded {
-        if tcp_listener.is_some() {
-            die("--tcp needs the event-loop transport (drop --threaded)");
-        }
-        let (agg, rep) = serve_threaded(listener, make_agg(), collectors, accept_timeout);
-        (AggregatorSet::new(vec![agg]), rep)
-    } else if loops > 1 {
-        let mut server =
-            MultiLoopServer::new((0..loops).map(|_| make_agg()).collect(), opts).with_backend(kind);
+    let mut server =
+        MultiLoopServer::new((0..loops).map(|_| make_agg()).collect(), opts).with_backend(kind);
+    server
+        .add_unix_listener(listener)
+        .unwrap_or_else(|e| die(&format!("register unix listener: {e}")));
+    if let Some(l) = tcp_listener {
         server
-            .add_unix_listener(listener)
-            .unwrap_or_else(|e| die(&format!("register unix listener: {e}")));
-        if let Some(l) = tcp_listener {
-            server
-                .add_tcp_listener(l)
-                .unwrap_or_else(|e| die(&format!("register tcp listener: {e}")));
-        }
-        server
-            .run()
-            .unwrap_or_else(|e| die(&format!("event loops: {e}")))
-    } else {
-        let mut server = EventLoopServer::new(make_agg(), opts).with_backend(kind);
-        server
-            .add_unix_listener(listener)
-            .unwrap_or_else(|e| die(&format!("register unix listener: {e}")));
-        if let Some(l) = tcp_listener {
-            server
-                .add_tcp_listener(l)
-                .unwrap_or_else(|e| die(&format!("register tcp listener: {e}")));
-        }
-        let (agg, rep) = server
-            .run()
-            .unwrap_or_else(|e| die(&format!("event loop: {e}")));
-        (AggregatorSet::new(vec![agg]), rep)
-    };
+            .add_tcp_listener(l)
+            .unwrap_or_else(|e| die(&format!("register tcp listener: {e}")));
+    }
+    let (aggs, rep) = server
+        .run()
+        .unwrap_or_else(|e| die(&format!("event loops: {e}")));
     let _ = std::fs::remove_file(&socket);
     for f in &rep.failures {
         eprintln!(
@@ -444,151 +405,6 @@ fn serve(rest: Vec<String>) {
         eprintln!("wrote {path}: {} bytes", bytes.len());
     }
     report(&snap);
-}
-
-/// The historical transport: one blocking thread per accepted
-/// connection, aggregator behind a mutex. Kept for comparison and as a
-/// fallback; shares the library's [`pump_blocking`] /
-/// [`sst_monitor::SessionDriver`] state machine with the event loop,
-/// so failures are isolated the same way (a bad session is logged and
-/// rolled back, never fatal) and the assembled bytes are identical.
-///
-/// Unlike the event loop it joins every accepted session before
-/// returning, so with `--accept-timeout` each session socket also gets
-/// that as its read timeout — a stalled (never-closing) client then
-/// fails its own session instead of holding the shutdown hostage.
-/// Without the flag, a stalled client blocks shutdown forever — one
-/// more reason the event loop is the default. Collector-id admission
-/// (spoof rejection) is event-loop-only; this path trusts its local
-/// Unix-socket peers to use distinct ids.
-fn serve_threaded(
-    listener: UnixListener,
-    agg: Aggregator,
-    collectors: usize,
-    accept_timeout: Option<Duration>,
-) -> (Aggregator, ServeReport) {
-    listener
-        .set_nonblocking(true)
-        .unwrap_or_else(|e| die(&format!("listener nonblocking: {e}")));
-    let agg = Mutex::new(agg);
-    let completed = AtomicUsize::new(0);
-    let probes = AtomicUsize::new(0);
-    let failures = Mutex::new(Vec::new());
-    let last_activity = Mutex::new(Instant::now());
-    let mut timed_out = false;
-    std::thread::scope(|scope| {
-        let mut conn = 0u64;
-        loop {
-            if completed.load(Ordering::SeqCst) >= collectors {
-                break;
-            }
-            if let Some(t) = accept_timeout {
-                let last = *last_activity.lock().unwrap_or_else(PoisonError::into_inner);
-                if last.elapsed() >= t {
-                    timed_out = true;
-                    break;
-                }
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // A stalled client must not wedge the final scope
-                    // join: bound each blocking read by the same idle
-                    // budget (the read error then fails that session
-                    // alone).
-                    if let Some(t) = accept_timeout {
-                        let _ = stream.set_read_timeout(Some(t));
-                    }
-                    // Accepting alone is not activity (a periodic
-                    // prober must not defer the idle deadline) — the
-                    // ActivityRead wrapper stamps delivered bytes.
-                    // Legacy (Hello-less) sessions get ids past u32 so
-                    // they can't collide with forwarders' small ids.
-                    let fallback_id = FALLBACK_ID_BASE + conn;
-                    conn += 1;
-                    let (agg, completed, probes, failures, last_activity) =
-                        (&agg, &completed, &probes, &failures, &last_activity);
-                    scope.spawn(move || {
-                        // Stamp the activity clock per read, not just
-                        // at accept/exit, so a session actively
-                        // streaming for longer than --accept-timeout
-                        // doesn't trip the idle guard (matching the
-                        // event loop's semantics).
-                        let mut stream = ActivityRead {
-                            inner: stream,
-                            last_activity,
-                        };
-                        match pump_blocking(&mut stream, agg, fallback_id) {
-                            Ok(0) => {
-                                probes.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Ok(_) => {
-                                completed.fetch_add(1, Ordering::SeqCst);
-                            }
-                            Err(e) => {
-                                // One bad session must not kill the
-                                // aggregator: record it, keep serving.
-                                failures
-                                    .lock()
-                                    .unwrap_or_else(PoisonError::into_inner)
-                                    .push(sst_monitor::transport::SessionFailure {
-                                        peer: "uds".into(),
-                                        session: e.session,
-                                        error: e.error.to_string(),
-                                    });
-                            }
-                        }
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                // Peer resets and fd exhaustion are transient; dying
-                // here would discard every completed session — the
-                // total-loss failure this PR removes. Same
-                // classification as the event loop's accept path.
-                Err(e) if sst_monitor::transport::accept_error_is_transient(&e) => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => die(&format!("accept: {e}")),
-            }
-        }
-    });
-    let report = ServeReport {
-        completed: completed.into_inner(),
-        probes: probes.into_inner(),
-        failures: failures
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
-        aborted: 0,
-        timed_out,
-        sessions: Vec::new(),
-    };
-    // Even if a session thread panicked while holding the lock, the
-    // completed sessions' state is intact (it is keyed per session):
-    // recover it rather than discarding everything.
-    let agg = agg.into_inner().unwrap_or_else(PoisonError::into_inner);
-    (agg, report)
-}
-
-/// Read adapter for the threaded transport: stamps the shared
-/// activity clock on every successful read so the accept-timeout means
-/// "no session activity" there too.
-struct ActivityRead<'a> {
-    inner: UnixStream,
-    last_activity: &'a Mutex<Instant>,
-}
-
-impl Read for ActivityRead<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        if n > 0 {
-            *self
-                .last_activity
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Instant::now();
-        }
-        Ok(n)
-    }
 }
 
 fn forward(rest: Vec<String>) {

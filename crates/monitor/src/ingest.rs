@@ -3,8 +3,8 @@
 //! This is the bottom of the collector stack — it answers exactly one
 //! question: *which shard owns a key, and what happens when a point for
 //! that key arrives*. Everything above it (eviction, compaction, wire
-//! framing, topology) treats the [`ShardSet`] as a deterministic keyed
-//! map of live [`StreamState`]s.
+//! framing, topology) treats the `ShardSet` as a deterministic keyed
+//! map of live `StreamState`s.
 //!
 //! ## Determinism contract (inherited by every layer above)
 //!

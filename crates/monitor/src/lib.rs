@@ -37,17 +37,15 @@
 //! [`MonitorEngine`] (in [`engine`]) is the facade over the top two
 //! layers and keeps the original single-process API; [`wire`] and
 //! [`topology`] extend it across process boundaries, and [`transport`]
-//! puts it on real sockets: an event loop
-//! ([`transport::EventLoopServer`]) over a pluggable readiness backend
-//! ([`transport::BackendKind`]: `epoll(7)` by default on Linux,
-//! `poll(2)` as the portable baseline) multiplexing any number of
-//! Unix-domain and TCP collector sessions — one bad session is rolled
-//! back and logged, never fatal. [`transport::MultiLoopServer`] shards
-//! sessions across one loop per core behind an accept dispatcher
-//! (per-loop [`topology::Aggregator`]s merge at snapshot time via
-//! [`topology::AggregatorSet`]; spoof rejection stays global through
-//! the shared [`topology::AdmissionRegistry`]), and a blocking
-//! [`transport::pump_blocking`] serves thread-per-connection callers.
+//! puts it on real sockets through one serve runtime,
+//! [`transport::MultiLoopServer`]: an accept dispatcher dealing
+//! Unix-domain and TCP collector sessions to one event loop or one per
+//! core, each over a pluggable readiness backend ([`transport::BackendKind`]:
+//! `epoll(7)` by default on Linux, `poll(2)` as the portable baseline).
+//! One bad session is rolled back and logged, never fatal; per-loop
+//! [`topology::Aggregator`]s merge at snapshot time via
+//! [`topology::AggregatorSet`], and spoof rejection stays global
+//! through the shared [`topology::AdmissionRegistry`].
 //!
 //! ## The merge-equivalence guarantee
 //!
@@ -132,8 +130,7 @@ pub use topology::{
     AdmissionRegistry, Aggregator, AggregatorSet, Collector, SessionDriver, SessionError,
 };
 pub use transport::{
-    BackendKind, EventLoopServer, MultiLoopServer, ServeOptions, ServeReport, SessionStats,
-    SessionStream,
+    BackendKind, MultiLoopServer, ServeOptions, ServeReport, SessionStats, SessionStream,
 };
 pub use wire::{
     decode_frames, encode_frame, Frame, FrameDecoder, WireError, WIRE_VERSION,

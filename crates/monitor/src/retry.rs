@@ -18,15 +18,15 @@
 //!
 //! ## Ack-less peers
 //!
-//! The threaded transport ([`pump_blocking`]) reads to EOF and never
-//! writes, so a sender talking to it would wait for acks forever.
+//! A peer may read the session without ever speaking the back-channel
+//! — a byte sink that captures the stream to a file, or a relay that
+//! forwards only the collector → aggregator direction — and a sender
+//! talking to it would wait for acks forever.
 //! [`SequencedSender::finish`] therefore treats *silence* — a read
 //! timeout with the connection still open and no server frame ever
 //! received — as optimistic success, while EOF or reset before the
 //! final ack still triggers a retry. A server that has spoken (any
 //! `Ack`/`Resync`) is held to the full acknowledged handshake.
-//!
-//! [`pump_blocking`]: crate::transport::pump_blocking
 
 use crate::topology::Collector;
 use crate::transport::SessionStream;
@@ -102,7 +102,7 @@ impl Backoff {
 }
 
 /// How long [`SequencedSender::finish`] waits for an ack before
-/// deciding the peer is silent (ack-less threaded transport) or stuck.
+/// deciding the peer is silent (ack-less) or stuck.
 const ACK_WAIT: Duration = Duration::from_millis(500);
 
 /// What one bounded read of the server's back-channel produced.
@@ -399,8 +399,8 @@ impl<F: FnMut() -> io::Result<SessionStream>> SequencedSender<F> {
                             "no ack for the final frames",
                         ));
                     }
-                    // Never heard a frame: an ack-less (threaded)
-                    // transport. Everything is written; optimistic
+                    // Never heard a frame: an ack-less peer.
+                    // Everything is written; optimistic
                     // success is the best available contract.
                     return Ok(true);
                 }

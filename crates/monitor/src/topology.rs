@@ -297,7 +297,7 @@ impl Collector {
     /// Ships everything pending to `w`: a `Hello` on first contact,
     /// `Evicted` frames for streams retired since the last flush, and
     /// `Delta` frames with the cumulative entries of every dirty key
-    /// still live (chunked at [`TARGET_FRAME_BYTES`] of estimated
+    /// still live (chunked at `TARGET_FRAME_BYTES` of estimated
     /// entry footprint so no frame approaches the wire's length cap,
     /// whatever the configured reservoir size). The dirty set is
     /// cleared only once everything was written.
@@ -1191,14 +1191,6 @@ impl AdmissionRegistry {
         self.owners.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Claims `id` on behalf of the session `token`. `true` when the
-    /// claim is granted ([`AdmissionRegistry::claim`] for the variant
-    /// that also hands back parked state — use that from transports
-    /// that support resumption, or the parked state is lost).
-    pub fn admit(&self, id: u64, token: u64) -> bool {
-        !matches!(self.claim(id, token), Claim::Rejected)
-    }
-
     /// Claims `id` on behalf of the session `token`: grants free ids,
     /// re-grants ids this very session holds, resumes suspended ids
     /// (handing their parked state to the claimant), and rejects ids
@@ -1292,12 +1284,14 @@ impl AggregatorSet {
 
     /// The assembled snapshot: every loop's snapshot merged
     /// canonically (the empty snapshot is the merge identity, so idle
-    /// loops contribute nothing).
+    /// loops contribute nothing, and a single loop's snapshot is
+    /// returned without a merge pass).
     pub fn snapshot(&self) -> EngineSnapshot {
         self.aggs
             .iter()
             .map(Aggregator::snapshot)
-            .fold(EngineSnapshot::default(), EngineSnapshot::merge)
+            .reduce(EngineSnapshot::merge)
+            .unwrap_or_default()
     }
 }
 
@@ -1349,10 +1343,8 @@ impl std::error::Error for SessionError {}
 /// whose implicit `FullSnapshot` only decodes once EOF is signalled.
 ///
 /// The driver never touches the aggregator except through
-/// [`Aggregator::feed`]/[`Aggregator::remove_collector`], so the same
-/// state machine serves the blocking thread-per-connection transport
-/// (aggregator behind a mutex, pushed under the lock) and the
-/// single-threaded event loop (exclusive aggregator, no lock) — and is
+/// [`Aggregator::feed`]/[`Aggregator::remove_collector`], so the serve
+/// loops drive it over their exclusively-owned aggregator, and it is
 /// unit-testable against in-memory byte slices.
 pub struct SessionDriver {
     dec: FrameDecoder,

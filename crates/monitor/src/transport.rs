@@ -1,37 +1,36 @@
-//! Socket transport for the collector topology: event-loop serving of
-//! many collector sessions at once — over a pluggable readiness
-//! [`Backend`] (`poll(2)` or `epoll(7)`), on one loop or one loop per
-//! core — plus the blocking per-connection pump the threaded transport
-//! shares.
+//! Socket transport for the collector topology: [`MultiLoopServer`]
+//! serves many collector sessions at once on `N` event loops — one per
+//! core, or just one — over a pluggable readiness [`Backend`]
+//! (`poll(2)` or `epoll(7)`).
 //!
 //! ## Why an event loop
 //!
-//! The original `monitor_tool serve` burned one blocking OS thread per
-//! collector connection. Sampled-NetFlow-style deployments put
-//! *hundreds* of exporters behind one aggregation point; at that fan-in
-//! the thread-per-connection model costs a stack and a scheduler slot
-//! per mostly-idle socket, and a mutex around the aggregator besides.
-//! The frame protocol is already incremental ([`FrameDecoder`] is
-//! push-based) and the per-session logic is a pure state machine
-//! ([`SessionDriver`]), so only the socket layer had to change:
+//! A serve that burns one blocking OS thread per collector connection
+//! does not scale to the fan-in of sampled-NetFlow-style deployments,
+//! which put *hundreds* of exporters behind one aggregation point: the
+//! thread-per-connection model costs a stack and a scheduler slot per
+//! mostly-idle socket, and a mutex around the aggregator besides. The
+//! frame protocol is incremental ([`FrameDecoder`] is push-based) and
+//! the per-session logic is a pure state machine ([`SessionDriver`]),
+//! so the socket layer is an event loop instead:
 //!
 //! * every listener and connection is non-blocking,
-//! * one readiness call multiplexes all of them (level-triggered — a
-//!   partially-drained buffer simply reports readable again),
+//! * one readiness call multiplexes all of a loop's sessions
+//!   (level-triggered — a partially-drained buffer simply reports
+//!   readable again),
 //! * readable bytes feed each session's [`SessionDriver`], which feeds
-//!   the [`Aggregator`] **directly** — no mutex, no threads,
+//!   the loop's [`Aggregator`] **directly** — no mutex,
 //! * both Unix-domain and TCP listeners can serve concurrently, and
 //!   pre-accepted streams can be injected for tests and benches.
 //!
 //! Because the aggregator keys state per session and is
-//! interleaving-independent, the event loop's snapshot is
-//! **byte-identical** to the threaded transport's (and to a single
-//! unsharded engine over the same points) — pinned by
-//! `tests/transport_live.rs`.
+//! interleaving-independent, the assembled snapshot is
+//! **byte-identical** to a single unsharded engine over the same
+//! points, for any loop count — pinned by `tests/transport_live.rs`.
 //!
 //! ## Readiness backends
 //!
-//! The loop drives a [`Backend`] — register/deregister fds under a
+//! Each loop drives a [`Backend`] — register/deregister fds under a
 //! token, wait for readiness. Two implementations ship:
 //!
 //! * [`BackendKind::Poll`] — `poll(2)` over one *persistent* pollfd
@@ -44,13 +43,14 @@
 //! Both are level-triggered, which the per-round read budget relies on
 //! (a capped session's fd simply reports readable again next round).
 //!
-//! ## Multi-loop serving
+//! ## Loops and the dispatcher
 //!
-//! One event loop saturates one core. [`MultiLoopServer`] shards
-//! sessions across `N` loops (one per core): a dispatcher thread owns
-//! the listeners and hands accepted connections round-robin to `N`
-//! worker loops over SPSC queues (an in-band wake pipe makes a blocked
-//! worker notice the handoff). Each worker owns a **private**
+//! One event loop saturates one core. [`MultiLoopServer`] runs `N`
+//! worker loops — worker 0 on the calling thread, the rest on threads
+//! of their own — behind a dispatcher thread, which owns the listeners
+//! and hands accepted connections round-robin to the workers over
+//! SPSC queues (an in-band wake pipe makes a blocked worker notice the
+//! handoff). Each worker owns a **private**
 //! [`Aggregator`] its sessions feed lock-free; the only cross-loop
 //! state is the [`AdmissionRegistry`] — consulted once per session id,
 //! not per frame — so a spoofed collector id is rejected no matter
@@ -70,14 +70,16 @@
 //!
 //! ## Shutdown
 //!
-//! [`EventLoopServer::run`] returns when `collectors` sessions have
-//! completed, or — with [`ServeOptions::accept_timeout`] — when no
-//! session delivered bytes for that long (so a serve waiting on clients
-//! that never come, or that stall, terminates instead of blocking
-//! forever). Under [`MultiLoopServer`] both conditions are global:
-//! completions count across loops, and activity on any loop defers the
-//! idle deadline for all. Sessions still in flight at shutdown are
-//! aborted and counted in [`ServeReport::aborted`].
+//! [`MultiLoopServer::run`] returns when `collectors` sessions have
+//! completed across all loops, or — with
+//! [`ServeOptions::accept_timeout`] — when no session on any loop
+//! delivered bytes for that long (so a serve waiting on clients that
+//! never come, or that stall, terminates instead of blocking forever).
+//! On the way out each loop takes the dispatcher's last handoffs and
+//! gives every open session one final non-blocking pump; sessions
+//! still open after it — mid-stream, or connected but silent — are
+//! aborted and counted in [`ServeReport::aborted`], so the report
+//! accounts for every session the run accepted.
 //!
 //! `io_uring` (batched submission, zero-syscall steady state) is the
 //! natural next step past `epoll(7)` and is tracked in the ROADMAP.
@@ -92,7 +94,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Minimal FFI bindings for `poll(2)` and `epoll(7)` — the one hole in
@@ -276,14 +278,6 @@ pub trait Backend: Send {
     /// The underlying registration syscall's error, if any.
     fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
 
-    /// Re-tags an already-watched `fd` with a new `token`.
-    ///
-    /// # Errors
-    ///
-    /// The underlying syscall's error; `NotFound` when `fd` was never
-    /// registered.
-    fn modify(&mut self, fd: RawFd, token: u64) -> io::Result<()>;
-
     /// Adds or removes write interest on an already-watched `fd`
     /// (read interest stays armed either way). The serve loop arms
     /// this only while a session has undelivered outbound bytes —
@@ -359,12 +353,6 @@ impl Backend for PollBackend {
         Ok(())
     }
 
-    fn modify(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        let i = self.position(fd)?;
-        self.tokens[i] = token;
-        Ok(())
-    }
-
     fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
         let i = self.position(fd)?;
         self.tokens[i] = token;
@@ -423,10 +411,6 @@ impl Backend for EpollBackend {
 
     fn register(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
         self.ep.add(fd, token, sys::EPOLLIN)
-    }
-
-    fn modify(&mut self, fd: RawFd, token: u64) -> io::Result<()> {
-        self.ep.modify(fd, token, sys::EPOLLIN)
     }
 
     fn set_writable(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
@@ -649,11 +633,11 @@ impl Listener {
             Ok(s) => Ok(Some(s)),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             // Transient conditions (peer reset, fd exhaustion) must
-            // not kill the loop: losing the whole assembled aggregator
-            // over them would be the total-loss failure this transport
-            // exists to prevent. Back off briefly — under EMFILE the
-            // listener stays readable, so poll would otherwise spin
-            // hot — and retry next round.
+            // not kill the dispatcher: losing the whole assembled
+            // aggregator over them would be the total-loss failure this
+            // transport exists to prevent. Back off briefly — under
+            // EMFILE the listener stays readable, so poll would
+            // otherwise spin hot — and retry next round.
             Err(e) if accept_error_is_transient(&e) => {
                 std::thread::sleep(std::time::Duration::from_millis(10));
                 Ok(None)
@@ -666,27 +650,24 @@ impl Listener {
 /// `accept(2)` failures that indicate a transient per-connection or
 /// resource condition rather than a broken listener: the peer reset
 /// before we got to it (`ECONNABORTED`), or process/system fd
-/// exhaustion (`EMFILE`/`ENFILE`). Callers should back off briefly and
-/// keep serving — dying would discard every completed session. Shared
-/// by the event loop and the threaded accept loop so the two
-/// transports classify identically.
-pub fn accept_error_is_transient(e: &io::Error) -> bool {
+/// exhaustion (`EMFILE`/`ENFILE`).
+fn accept_error_is_transient(e: &io::Error) -> bool {
     e.kind() == io::ErrorKind::ConnectionAborted
         // EMFILE = 24, ENFILE = 23 on every Linux ABI this targets.
         || matches!(e.raw_os_error(), Some(23) | Some(24))
 }
 
-/// How [`EventLoopServer::run`] decides it is done.
+/// How [`MultiLoopServer::run`] decides it is done.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Stop once this many sessions completed (≥ 1 frame delivered,
-    /// clean EOF). Probes and failed sessions do not count. Under
-    /// [`MultiLoopServer`] the count is global across loops.
+    /// clean EOF), counted across every loop. Probes and failed
+    /// sessions do not count.
     pub collectors: usize,
     /// Stop when no session delivered bytes for this long — the guard
     /// against clients that never connect (or stall forever). `None`
-    /// waits indefinitely. Under [`MultiLoopServer`] activity on any
-    /// loop defers the deadline for all.
+    /// waits indefinitely. Activity on any loop defers the deadline for
+    /// all.
     pub accept_timeout: Option<Duration>,
 }
 
@@ -721,11 +702,13 @@ pub struct SessionStats {
     pub full_bytes: u64,
     /// `Resync` requests the serve side issued to this session.
     pub resyncs: u64,
-    /// Which serve loop pumped it (always `0` single-loop).
+    /// Which serve loop pumped it (always `0` with one loop).
     pub worker: usize,
 }
 
 /// What a serve run saw: the observability half of failure isolation.
+/// `completed + probes + failures.len() + aborted` is the number of
+/// sessions the run accepted or was handed.
 #[derive(Clone, Debug, Default)]
 pub struct ServeReport {
     /// Sessions that delivered ≥ 1 frame and closed cleanly — the ones
@@ -738,13 +721,14 @@ pub struct ServeReport {
     /// disconnect, read error); each was rolled back out of the
     /// aggregator.
     pub failures: Vec<SessionFailure>,
-    /// Sessions still mid-stream at shutdown, rolled back likewise.
+    /// Sessions still open at shutdown — mid-stream, or connected but
+    /// silent — rolled back likewise.
     pub aborted: usize,
     /// `true` when the run ended on `accept_timeout` instead of
     /// reaching the collector target.
     pub timed_out: bool,
-    /// Per-session delivery counters for every completed session
-    /// (multi-loop: sorted by collector id, then worker).
+    /// Per-session delivery counters for every completed session,
+    /// sorted by collector id, then worker.
     pub sessions: Vec<SessionStats>,
 }
 
@@ -756,7 +740,6 @@ impl ServeReport {
         self.probes += other.probes;
         self.failures.extend(other.failures);
         self.aborted += other.aborted;
-        self.timed_out |= other.timed_out;
         self.sessions.extend(other.sessions);
     }
 }
@@ -817,11 +800,14 @@ enum SessionEnd {
     Failed(String),
 }
 
-/// Cross-loop coordination for one multi-loop serve run: the global
-/// completion count, the stop/timeout flags, the shared idle clock,
-/// and one wake pipe per worker so a loop blocked in its backend can
-/// be nudged (for a handed-off session or a stop).
+/// Everything one serve run shares across its loops: the stop
+/// conditions, the global completion count, the stop/timeout flags,
+/// the idle clock, the collector-id registry, the session-token
+/// allocator, and the wake pipes that nudge a thread blocked in its
+/// backend — one per worker (for a handed-off session or a stop) and
+/// one for the dispatcher (for a stop or a worker exit).
 struct ServeShared {
+    opts: ServeOptions,
     start: Instant,
     completed: AtomicUsize,
     stop: AtomicBool,
@@ -829,41 +815,74 @@ struct ServeShared {
     /// Milliseconds after `start` of the latest byte delivery, on any
     /// loop. (Accepting alone is *not* activity — see the dispatcher.)
     last_activity_ms: AtomicU64,
+    /// Consulted once per collector id, so a spoofed id is rejected no
+    /// matter which loop its victim landed on.
+    admission: AdmissionRegistry,
+    /// Session-token allocator: tokens are globally unique, so they
+    /// double as the admission ownership handles.
+    next_token: AtomicU64,
     /// Write ends of each worker's wake pipe, by worker index.
-    wakers: Mutex<Vec<UnixStream>>,
+    wakers: Vec<UnixStream>,
+    /// Write end of the dispatcher's wake pipe.
+    dispatcher: UnixStream,
     /// Workers whose `run()` returned (so the dispatcher does not wait
     /// for handoffs nobody will take).
     exited: AtomicUsize,
 }
 
+/// A non-blocking socketpair used as a wake pipe: `(write end, read
+/// end)`.
+fn wake_pipe() -> io::Result<(UnixStream, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((tx, rx))
+}
+
+/// Writes one wake byte. A full pipe is fine — the reader is waking
+/// anyway.
+fn nudge(mut pipe: &UnixStream) {
+    let _ = pipe.write(&[1]);
+}
+
 impl ServeShared {
-    fn new() -> ServeShared {
-        ServeShared {
+    /// Shared state for `n` worker loops, plus the read ends of the
+    /// workers' wake pipes (by index) and of the dispatcher's.
+    fn new(opts: ServeOptions, n: usize) -> io::Result<(ServeShared, Vec<UnixStream>, UnixStream)> {
+        let (mut wakers, mut wake_ends) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let (tx, rx) = wake_pipe()?;
+            wakers.push(tx);
+            wake_ends.push(rx);
+        }
+        let (dispatcher, dispatcher_end) = wake_pipe()?;
+        let shared = ServeShared {
+            // A run with nothing to wait for is over before it starts.
+            stop: AtomicBool::new(opts.collectors == 0),
+            opts,
             start: Instant::now(),
             completed: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
             timed_out: AtomicBool::new(false),
             last_activity_ms: AtomicU64::new(0),
-            wakers: Mutex::new(Vec::new()),
+            admission: AdmissionRegistry::new(),
+            next_token: AtomicU64::new(FALLBACK_ID_BASE),
+            wakers,
+            dispatcher,
             exited: AtomicUsize::new(0),
-        }
+        };
+        Ok((shared, wake_ends, dispatcher_end))
     }
 
-    fn wakers(&self) -> std::sync::MutexGuard<'_, Vec<UnixStream>> {
-        self.wakers.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Nudges worker `i` out of its backend wait. A full pipe is fine
-    /// — the worker is waking anyway.
+    /// Nudges worker `i` out of its backend wait.
     fn wake(&self, i: usize) {
-        if let Some(w) = self.wakers().get_mut(i) {
-            let _ = w.write(&[1]);
+        if let Some(w) = self.wakers.get(i) {
+            nudge(w);
         }
     }
 
     fn wake_all(&self) {
-        for w in self.wakers().iter_mut() {
-            let _ = w.write(&[1]);
+        for w in &self.wakers {
+            nudge(w);
         }
     }
 
@@ -883,16 +902,26 @@ impl ServeShared {
         self.start.elapsed().saturating_sub(last)
     }
 
+    /// Stops every loop and the dispatcher (idempotent).
     fn request_stop(&self, timed_out: bool) {
         if timed_out {
             self.timed_out.store(true, Ordering::SeqCst);
         }
         self.stop.store(true, Ordering::SeqCst);
         self.wake_all();
+        nudge(&self.dispatcher);
     }
 
     fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
+    }
+
+    /// Called as each worker leaves its loop, so the dispatcher ends
+    /// the moment the last one exits rather than at its next timed
+    /// wait.
+    fn worker_exited(&self) {
+        self.exited.fetch_add(1, Ordering::SeqCst);
+        nudge(&self.dispatcher);
     }
 }
 
@@ -908,9 +937,9 @@ struct Intake {
     open: bool,
 }
 
-/// Token space: listeners get `0..n` and sessions get unique ids from
-/// [`FALLBACK_ID_BASE`] up, so one `u64` names either; the intake wake
-/// pipe takes the top value.
+/// Token space: the dispatcher's listeners get `0..n` and sessions get
+/// unique ids from [`FALLBACK_ID_BASE`] up, so one `u64` names either;
+/// a wake pipe takes the top value.
 const TOKEN_WAKE: u64 = u64::MAX;
 
 /// Base of the fallback session-id range handed to legacy (Hello-less)
@@ -918,145 +947,26 @@ const TOKEN_WAKE: u64 = u64::MAX;
 /// collector ids.
 pub const FALLBACK_ID_BASE: u64 = 1 << 32;
 
-/// The single-threaded serve loop: non-blocking listeners,
-/// per-connection [`SessionDriver`]s, one exclusively-owned
-/// [`Aggregator`], a pluggable readiness [`Backend`] — see the module
-/// docs for the design.
-///
-/// ```no_run
-/// use sst_monitor::topology::Aggregator;
-/// use sst_monitor::transport::{BackendKind, EventLoopServer, ServeOptions};
-/// use std::os::unix::net::UnixListener;
-///
-/// let mut server = EventLoopServer::new(
-///     Aggregator::new(),
-///     ServeOptions { collectors: 64, accept_timeout: Some(std::time::Duration::from_secs(30)) },
-/// )
-/// .with_backend(BackendKind::Epoll);
-/// server.add_unix_listener(UnixListener::bind("/tmp/agg.sock")?)?;
-/// let (agg, report) = server.run()?;
-/// assert_eq!(report.completed, 64);
-/// let snapshot = agg.snapshot();
-/// # std::io::Result::Ok(())
-/// ```
-pub struct EventLoopServer {
-    listeners: Vec<Listener>,
-    /// Keyed by session token — stable across removals, unlike the
-    /// old `Vec` + swap-remove indexing.
+/// One serve loop: the sessions the dispatcher handed it (or that were
+/// injected before the run), each with its [`SessionDriver`], feeding
+/// one exclusively-owned [`Aggregator`] — see the module docs.
+struct Worker {
+    /// Keyed by session token — stable across removals.
     sessions: BTreeMap<u64, Session>,
     agg: Aggregator,
-    opts: ServeOptions,
     report: ServeReport,
-    backend_kind: BackendKind,
-    /// Shared under [`MultiLoopServer`]; private otherwise. Either
-    /// way, spoofed-id admission goes through it.
-    admission: Arc<AdmissionRegistry>,
-    /// Session-token allocator — shared across loops so tokens stay
-    /// globally unique (they are the admission ownership handles).
-    next_token: Arc<AtomicU64>,
     /// This loop's index, stamped into [`SessionStats::worker`].
-    worker: usize,
-    /// Multi-loop coordination; `None` when serving standalone.
-    shared: Option<Arc<ServeShared>>,
-    /// Dispatcher handoff queue; `None` when serving standalone.
-    intake: Option<Intake>,
+    index: usize,
+    shared: Arc<ServeShared>,
+    intake: Intake,
 }
 
-impl EventLoopServer {
-    /// A standalone serve loop that will assemble into `agg`
-    /// (pre-configure its compaction budget there) under the given
-    /// stop conditions, on the platform-default backend.
-    pub fn new(agg: Aggregator, opts: ServeOptions) -> Self {
-        EventLoopServer {
-            listeners: Vec::new(),
-            sessions: BTreeMap::new(),
-            agg,
-            opts,
-            report: ServeReport::default(),
-            backend_kind: BackendKind::default(),
-            admission: Arc::new(AdmissionRegistry::new()),
-            next_token: Arc::new(AtomicU64::new(FALLBACK_ID_BASE)),
-            worker: 0,
-            shared: None,
-            intake: None,
-        }
-    }
-
-    /// Selects the readiness backend (default: epoll on Linux).
-    #[must_use]
-    pub fn with_backend(mut self, kind: BackendKind) -> Self {
-        self.backend_kind = kind;
-        self
-    }
-
-    /// A worker loop for [`MultiLoopServer`]: shared admission, shared
-    /// token allocator, shared stop/idle state, dispatcher intake.
-    #[allow(clippy::too_many_arguments)]
-    fn for_worker(
-        agg: Aggregator,
-        opts: ServeOptions,
-        backend_kind: BackendKind,
-        admission: Arc<AdmissionRegistry>,
-        next_token: Arc<AtomicU64>,
-        worker: usize,
-        shared: Arc<ServeShared>,
-        intake: Intake,
-    ) -> Self {
-        EventLoopServer {
-            listeners: Vec::new(),
-            sessions: BTreeMap::new(),
-            agg,
-            opts,
-            report: ServeReport::default(),
-            backend_kind,
-            admission,
-            next_token,
-            worker,
-            shared: Some(shared),
-            intake: Some(intake),
-        }
-    }
-
-    /// Registers a Unix-domain listener (switched to non-blocking).
-    ///
-    /// # Errors
-    ///
-    /// The `set_nonblocking` I/O error.
-    pub fn add_unix_listener(&mut self, l: UnixListener) -> io::Result<()> {
-        l.set_nonblocking(true)?;
-        self.listeners.push(Listener::Unix(l));
-        Ok(())
-    }
-
-    /// Registers a TCP listener (switched to non-blocking).
-    ///
-    /// # Errors
-    ///
-    /// The `set_nonblocking` I/O error.
-    pub fn add_tcp_listener(&mut self, l: TcpListener) -> io::Result<()> {
-        l.set_nonblocking(true)?;
-        self.listeners.push(Listener::Tcp(l));
-        Ok(())
-    }
-
-    /// Registers an already-accepted connection (tests, benches, or a
-    /// supervisor that does its own accepting).
-    ///
-    /// # Errors
-    ///
-    /// The `set_nonblocking` I/O error.
-    pub fn add_session(&mut self, stream: impl Into<SessionStream>) -> io::Result<()> {
-        self.install_session(stream.into())?;
-        Ok(())
-    }
-
+impl Worker {
     /// Makes `stream` a tracked session and returns its token (the
     /// caller registers the fd with the backend when one is live).
     fn install_session(&mut self, stream: SessionStream) -> io::Result<u64> {
         stream.set_nonblocking(true)?;
-        // Globally unique even across loops, so it doubles as the
-        // ownership token in the shared id registry.
-        let token = self.next_token.fetch_add(1, Ordering::SeqCst);
+        let token = self.shared.next_token.fetch_add(1, Ordering::SeqCst);
         let driver = SessionDriver::new(token);
         let peer = stream.peer_label();
         self.sessions.insert(
@@ -1074,66 +984,40 @@ impl EventLoopServer {
         Ok(token)
     }
 
-    /// Whether any event can still arrive: a live listener, an open
-    /// session, or a dispatcher that may still hand sessions over.
-    fn can_make_progress(&self) -> bool {
-        !self.listeners.is_empty()
-            || !self.sessions.is_empty()
-            || self.intake.as_ref().is_some_and(|i| i.open)
-    }
-
-    /// Runs the loop to completion and returns the assembled
-    /// aggregator plus the session report.
+    /// Runs the loop to completion on `backend` and returns the
+    /// loop's aggregator plus its share of the session report.
     ///
     /// # Errors
     ///
-    /// Only loop-fatal I/O errors: backend creation, the readiness
-    /// syscall, or a listener accept failing. Per-session errors never
-    /// surface here — they are isolated into [`ServeReport::failures`].
-    pub fn run(mut self) -> io::Result<(Aggregator, ServeReport)> {
-        let mut backend = self.backend_kind.create()?;
-        for (i, l) in self.listeners.iter().enumerate() {
-            backend.register(l.as_raw_fd(), i as u64)?;
-        }
+    /// Only loop-fatal I/O errors: a registration or the readiness
+    /// syscall failing. Per-session errors never surface here — they
+    /// are isolated into [`ServeReport::failures`].
+    fn run(mut self, mut backend: Box<dyn Backend>) -> io::Result<(Aggregator, ServeReport)> {
+        let backend = backend.as_mut();
         for (&token, s) in &self.sessions {
             backend.register(s.stream.as_raw_fd(), token)?;
         }
-        if let Some(intake) = &self.intake {
-            backend.register(intake.wake.as_raw_fd(), TOKEN_WAKE)?;
-        }
-        let mut last_activity = Instant::now();
+        backend.register(self.intake.wake.as_raw_fd(), TOKEN_WAKE)?;
+        let shared = Arc::clone(&self.shared);
         let mut ready: Vec<u64> = Vec::new();
         loop {
-            // Global stop (multi-loop): another loop reached the
-            // target or the idle deadline.
-            if self.shared.as_ref().is_some_and(|sh| sh.stopped()) {
+            // The target was reached (here or on another loop), or the
+            // idle deadline passed.
+            if shared.stopped() {
                 break;
             }
-            let completed = match &self.shared {
-                Some(sh) => sh.completed.load(Ordering::SeqCst),
-                None => self.report.completed,
-            };
-            if completed >= self.opts.collectors {
-                break;
-            }
-            // Nothing connected and nothing to connect through: no
-            // event can ever arrive, so waiting would hang forever.
+            // No open session and no dispatcher left to hand one over:
+            // no event can ever arrive, so waiting would hang forever.
             // (Not a timeout — `completed < collectors` in the report
             // already tells the caller the target was unreachable.)
-            if !self.can_make_progress() {
+            if self.sessions.is_empty() && !self.intake.open {
                 break;
             }
-            let timeout_ms = match self.opts.accept_timeout {
+            let timeout_ms = match shared.opts.accept_timeout {
                 Some(t) => {
-                    let idle = match &self.shared {
-                        Some(sh) => sh.idle_for(),
-                        None => last_activity.elapsed(),
-                    };
+                    let idle = shared.idle_for();
                     if idle >= t {
-                        match &self.shared {
-                            Some(sh) => sh.request_stop(true),
-                            None => self.report.timed_out = true,
-                        }
+                        shared.request_stop(true);
                         break;
                     }
                     // +1 so a sub-millisecond remainder still sleeps
@@ -1148,93 +1032,73 @@ impl EventLoopServer {
             if backend.wait(timeout_ms, &mut ready)? == 0 {
                 continue; // Timeout tick; the deadline check above decides.
             }
-            // Ascending token order: listeners first, then sessions
-            // oldest-accepted first, the wake pipe last — the same
-            // deterministic sweep on both backends (epoll reports in
-            // readiness order, which tests must not depend on).
+            // Ascending token order: sessions oldest-accepted first,
+            // the wake pipe last — the same deterministic sweep on both
+            // backends (epoll reports in readiness order, which tests
+            // must not depend on).
             ready.sort_unstable();
             for &token in &ready {
                 if token == TOKEN_WAKE {
-                    self.drain_intake(backend.as_mut())?;
-                } else if token < FALLBACK_ID_BASE {
-                    // Accepting alone is *not* activity: a periodic
-                    // prober (health check, port scan) must not defer
-                    // the idle deadline forever — only delivered
-                    // bytes do, below.
-                    loop {
-                        let accepted = self
-                            .listeners
-                            .get(token as usize)
-                            .ok_or_else(|| io::Error::other("ready token out of listener range"))?
-                            .accept()?;
-                        let Some(stream) = accepted else {
-                            break;
-                        };
-                        let fd = stream.as_raw_fd();
-                        let t = self.install_session(stream)?;
-                        backend.register(fd, t)?;
-                    }
+                    self.drain_intake(backend)?;
                 } else {
-                    self.pump_ready_session(token, backend.as_mut(), &mut last_activity)?;
+                    self.pump_ready_session(token, backend)?;
                 }
             }
         }
-        // Shutdown: roll back sessions still mid-stream so the snapshot
-        // is exactly the completed sessions (probes have nothing fed).
-        // Sequenced peers get a best-effort Shutdown frame first — the
-        // graceful-drain notice that tells a retrying forwarder to
-        // reconnect (and resync) instead of waiting on acks that will
-        // never come.
+        self.shut_down(backend)?;
+        Ok((self.agg, self.report))
+    }
+
+    /// Settles every session still here when the loop ends, so the
+    /// report accounts for each one. Takes the dispatcher's last
+    /// handoffs (it hangs up promptly once the run is stopped), gives
+    /// every session one last non-blocking pump — one already at EOF
+    /// settles as completed, probe or failed like any other — and
+    /// rolls back the rest, silent ones included, into
+    /// [`ServeReport::aborted`], so the snapshot is exactly the
+    /// completed sessions. Sequenced peers get a best-effort `Shutdown`
+    /// frame first — the graceful-drain notice that tells a retrying
+    /// forwarder to reconnect (and resync) instead of waiting on acks
+    /// that will never come.
+    fn shut_down(&mut self, backend: &mut dyn Backend) -> io::Result<()> {
+        while let Ok(stream) = self.intake.rx.recv() {
+            let fd = stream.as_raw_fd();
+            let token = self.install_session(stream)?;
+            backend.register(fd, token)?;
+        }
+        let open: Vec<u64> = self.sessions.keys().copied().collect();
+        for token in open {
+            self.pump_ready_session(token, backend)?;
+        }
         for (_, mut session) in std::mem::take(&mut self.sessions) {
             if session.driver.is_sequenced() {
                 let _ = session.stream.write(&encode_frame(&Frame::Shutdown));
             }
-            if session.driver.frames_delivered() > 0 {
-                session.driver.abort(&mut self.agg);
-                self.report.aborted += 1;
-            }
+            session.driver.abort(&mut self.agg);
+            self.report.aborted += 1;
         }
-        Ok((self.agg, self.report))
+        Ok(())
     }
 
     /// Handles a wake-pipe readiness: swallows the wake bytes and
     /// takes every handed-off session out of the intake queue.
     fn drain_intake(&mut self, backend: &mut dyn Backend) -> io::Result<()> {
-        let Some(intake) = self.intake.as_mut() else {
-            return Ok(());
-        };
+        // The pipe cannot reach EOF: its write end lives in `shared`,
+        // which this worker holds.
         let mut buf = [0u8; 64];
-        loop {
-            match intake.wake.read(&mut buf) {
-                Ok(0) => {
-                    // Every waker write end is gone (teardown): drop
-                    // out of the interest set or a level-triggered
-                    // backend would spin on the EOF.
-                    backend.deregister(intake.wake.as_raw_fd())?;
-                    intake.open = false;
-                    break;
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        while let Some(intake) = self.intake.as_mut() {
-            match intake.rx.try_recv() {
+        while matches!(self.intake.wake.read(&mut buf), Ok(n) if n > 0) {}
+        while self.intake.open {
+            match self.intake.rx.try_recv() {
                 Ok(stream) => {
                     let fd = stream.as_raw_fd();
                     let t = self.install_session(stream)?;
                     backend.register(fd, t)?;
                 }
                 Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    // The dispatcher hung up: no more sessions, ever.
-                    // The wake fd stays registered — stop broadcasts
-                    // still arrive through it.
-                    intake.open = false;
-                    break;
-                }
+                // The dispatcher hung up: no more sessions, ever. The
+                // wake fd stays registered — stop broadcasts still
+                // arrive through it.
+                Err(mpsc::TryRecvError::Disconnected) => self.intake.open = false,
             }
         }
         Ok(())
@@ -1244,12 +1108,7 @@ impl EventLoopServer {
     /// completed (counted, its ids sealed), or failed (sequenced:
     /// parked for resumption; otherwise rolled back; either way its
     /// open ids are released and the failure recorded).
-    fn pump_ready_session(
-        &mut self,
-        token: u64,
-        backend: &mut dyn Backend,
-        last_activity: &mut Instant,
-    ) -> io::Result<()> {
+    fn pump_ready_session(&mut self, token: u64, backend: &mut dyn Backend) -> io::Result<()> {
         let Some(session) = self.sessions.get_mut(&token) else {
             return Ok(());
         };
@@ -1263,13 +1122,10 @@ impl EventLoopServer {
                 return Ok(());
             }
         }
-        let (end, bytes_read) = Self::pump(session, &mut self.agg, &self.admission);
+        let (end, bytes_read) = Self::pump(session, &mut self.agg, &self.shared.admission);
         session.bytes += bytes_read as u64;
         if bytes_read > 0 {
-            match &self.shared {
-                Some(sh) => sh.note_activity(),
-                None => *last_activity = Instant::now(),
-            }
+            self.shared.note_activity();
         }
         match end {
             SessionEnd::Open => {
@@ -1301,7 +1157,7 @@ impl EventLoopServer {
                     self.report.completed += 1;
                     // Its ids are spoken for within this run: a later
                     // claimant would be a spoof.
-                    self.admission.complete(session.driver.fed_ids());
+                    self.shared.admission.complete(session.driver.fed_ids());
                     self.report.sessions.push(SessionStats {
                         peer: session.peer.clone(),
                         session: session.driver.session_id(),
@@ -1310,12 +1166,10 @@ impl EventLoopServer {
                         diff_bytes: session.driver.diff_bytes(),
                         full_bytes: session.driver.full_bytes(),
                         resyncs: session.driver.resyncs(),
-                        worker: self.worker,
+                        worker: self.index,
                     });
-                    if let Some(sh) = &self.shared {
-                        if sh.record_completed() >= self.opts.collectors {
-                            sh.request_stop(false);
-                        }
+                    if self.shared.record_completed() >= self.shared.opts.collectors {
+                        self.shared.request_stop(false);
                     }
                 } else {
                     self.report.probes += 1;
@@ -1347,10 +1201,11 @@ impl EventLoopServer {
             return Ok(());
         };
         backend.deregister(session.stream.as_raw_fd())?;
+        let admission = &self.shared.admission;
         if session.driver.is_sequenced() {
             for id in session.driver.fed_ids() {
                 if let Some(parked) = self.agg.park_collector(id) {
-                    self.admission.suspend(id, parked);
+                    admission.suspend(id, parked);
                 }
             }
         } else {
@@ -1359,7 +1214,7 @@ impl EventLoopServer {
         // Free any ids still merely *open* under this session's token
         // (parked ids moved to Suspended above and are kept) so the
         // collector can reconnect and resend cumulative state.
-        self.admission.release(session.token);
+        admission.release(session.token);
         self.report.failures.push(SessionFailure {
             peer: session.peer.clone(),
             session: session.driver.session_id(),
@@ -1431,11 +1286,12 @@ impl EventLoopServer {
     }
 }
 
-/// One serve loop per core: a dispatcher thread accepts and hands
-/// connections round-robin to `N` worker [`EventLoopServer`]s, each
-/// owning a private [`Aggregator`]; the admission registry is the only
-/// state shared while bytes flow, and the per-loop aggregators merge
-/// at snapshot time ([`AggregatorSet`]) — see the module docs.
+/// The serve runtime: a dispatcher thread accepts and hands
+/// connections round-robin to `N` worker loops (one per core;
+/// `N = 1` is the plain single-loop serve), each owning a private
+/// [`Aggregator`]; the admission registry is the only state shared
+/// while bytes flow, and the per-loop aggregators merge at snapshot
+/// time ([`AggregatorSet`]) — see the module docs.
 ///
 /// ```no_run
 /// use sst_monitor::topology::Aggregator;
@@ -1463,7 +1319,7 @@ pub struct MultiLoopServer {
 }
 
 impl MultiLoopServer {
-    /// A multi-loop serve: one worker loop per aggregator in `aggs`
+    /// A serve with one worker loop per aggregator in `aggs`
     /// (pre-configure compaction budgets there), platform-default
     /// backend.
     pub fn new(aggs: Vec<Aggregator>, opts: ServeOptions) -> Self {
@@ -1509,7 +1365,8 @@ impl MultiLoopServer {
     }
 
     /// Injects an already-accepted connection; it is assigned to a
-    /// worker round-robin before the loops start.
+    /// worker round-robin before the loops start (so with one loop,
+    /// injected sessions are pumped in injection order).
     pub fn add_session(&mut self, stream: impl Into<SessionStream>) {
         self.pre.push(stream.into());
     }
@@ -1537,124 +1394,111 @@ impl MultiLoopServer {
         if n == 0 {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                "multi-loop serve needs at least one aggregator",
+                "serve needs at least one aggregator",
             ));
         }
-        let shared = Arc::new(ServeShared::new());
-        let admission = Arc::new(AdmissionRegistry::new());
-        let next_token = Arc::new(AtomicU64::new(FALLBACK_ID_BASE));
+        let (shared, wake_ends, exits) = ServeShared::new(opts, n)?;
+        let shared = Arc::new(shared);
 
-        // The dispatcher's backend first, so a creation failure
-        // surfaces before any thread spawns.
+        // Every backend first, so a creation failure surfaces before
+        // any thread spawns.
         let mut backend = backend_kind.create()?;
         for (i, l) in listeners.iter().enumerate() {
             backend.register(l.as_raw_fd(), i as u64)?;
         }
-        // Each worker leaving `run()` writes a byte here, so the
-        // dispatcher ends the moment the last one exits rather than at
-        // its next timed wait.
-        let (exit_tx, exit_rx) = UnixStream::pair()?;
-        exit_tx.set_nonblocking(true)?;
-        exit_rx.set_nonblocking(true)?;
-        backend.register(exit_rx.as_raw_fd(), TOKEN_WAKE)?;
-
+        backend.register(exits.as_raw_fd(), TOKEN_WAKE)?;
         let mut workers = Vec::with_capacity(n);
         let mut senders = Vec::with_capacity(n);
-        for (i, agg) in aggs.into_iter().enumerate() {
+        for (index, (agg, wake)) in aggs.into_iter().zip(wake_ends).enumerate() {
             let (tx, rx) = mpsc::channel();
-            let (wake_tx, wake_rx) = UnixStream::pair()?;
-            wake_tx.set_nonblocking(true)?;
-            wake_rx.set_nonblocking(true)?;
-            shared.wakers().push(wake_tx);
-            workers.push(EventLoopServer::for_worker(
+            let worker = Worker {
+                sessions: BTreeMap::new(),
                 agg,
-                opts.clone(),
-                backend_kind,
-                admission.clone(),
-                next_token.clone(),
-                i,
-                shared.clone(),
-                Intake {
+                report: ServeReport::default(),
+                index,
+                shared: Arc::clone(&shared),
+                intake: Intake {
                     rx,
-                    wake: wake_rx,
+                    wake,
                     open: true,
                 },
-            ));
+            };
+            workers.push((worker, backend_kind.create()?));
             senders.push(tx);
         }
         // Deterministic placement for injected sessions: worker i
         // gets pre[i], pre[i+n], …
         for (j, stream) in pre.into_iter().enumerate() {
-            if let Some(w) = workers.get_mut(j % n) {
-                w.add_session(stream)?;
+            if let Some((w, _)) = workers.get_mut(j % n) {
+                w.install_session(stream)?;
             }
         }
 
-        let (dispatch_res, joined) = std::thread::scope(|scope| {
+        let run_worker = |(worker, backend): (Worker, Box<dyn Backend>)| {
+            let res = worker.run(backend);
+            shared.worker_exited();
+            res
+        };
+        // Worker 0 runs on the calling thread and workers 1.. on their
+        // own; the dispatcher gets a thread only when there is
+        // something to accept.
+        let (dispatch_res, results) = std::thread::scope(|scope| {
+            let mut workers = workers.into_iter();
+            let first = workers.next();
             let handles: Vec<_> = workers
-                .into_iter()
-                .map(|server| {
-                    let sh = shared.clone();
-                    let exit_tx = &exit_tx;
-                    scope.spawn(move || {
-                        let res = server.run();
-                        sh.exited.fetch_add(1, Ordering::SeqCst);
-                        // A full pipe is fine: the dispatcher is waking.
-                        let _ = (&*exit_tx).write(&[1]);
-                        res
-                    })
-                })
+                .map(|w| scope.spawn(move || run_worker(w)))
                 .collect();
-
-            let dispatch_res = if listeners.is_empty() {
+            let dispatcher = if listeners.is_empty() {
                 // Injected-sessions-only run: nothing will ever be
-                // accepted, so hang up the handoff queues *now* —
-                // waiting for workers that are waiting for us would
-                // deadlock. Workers self-enforce the idle deadline
-                // through the shared clock.
-                Ok(())
+                // accepted, so hang up the handoff queues now and nudge
+                // the workers so they notice. They self-enforce the
+                // idle deadline through the shared clock.
+                drop(senders);
+                shared.wake_all();
+                None
             } else {
-                Self::dispatch(
-                    &listeners,
-                    backend.as_mut(),
-                    &exit_rx,
-                    &senders,
-                    &shared,
-                    &opts,
-                    n,
-                )
+                let (listeners, exits, shared) = (&listeners, &exits, &shared);
+                Some(scope.spawn(move || {
+                    let res = Self::dispatch(listeners, backend.as_mut(), exits, &senders, shared);
+                    // Hang up the handoff queues — workers drain what
+                    // is queued, then see `Disconnected` and finish —
+                    // and nudge any worker parked in its backend so it
+                    // notices.
+                    drop(senders);
+                    shared.wake_all();
+                    if res.is_err() {
+                        // A dispatcher-fatal error must not strand the
+                        // running loops.
+                        shared.request_stop(false);
+                    }
+                    res
+                }))
             };
-            // Hang up the handoff queues — workers drain what is
-            // queued, then see `Disconnected` and finish — and nudge
-            // any worker parked in its backend so it notices.
-            drop(senders);
-            shared.wake_all();
-            if dispatch_res.is_err() {
-                // A dispatcher-fatal error must not strand N running
-                // loops.
-                shared.request_stop(false);
+            fn panicked<T>(_: Box<dyn std::any::Any + Send>) -> io::Result<T> {
+                Err(io::Error::other("serve thread panicked"))
             }
-            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-            (dispatch_res, joined)
+            let mut results: Vec<_> = first.map(run_worker).into_iter().collect();
+            results.extend(
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(panicked)),
+            );
+            let dispatch_res = dispatcher.map_or(Ok(()), |d| d.join().unwrap_or_else(panicked));
+            (dispatch_res, results)
         });
 
         let mut report = ServeReport::default();
         let mut per_loop = Vec::with_capacity(n);
         let mut first_err = dispatch_res.err();
-        for res in joined {
+        for res in results {
             match res {
-                Ok(Ok((agg, r))) => {
+                Ok((agg, r)) => {
                     per_loop.push(agg);
                     report.absorb(r);
                 }
-                Ok(Err(e)) => {
+                Err(e) => {
                     if first_err.is_none() {
                         first_err = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if first_err.is_none() {
-                        first_err = Some(io::Error::other("serve loop panicked"));
                     }
                 }
             }
@@ -1669,29 +1513,29 @@ impl MultiLoopServer {
         Ok((AggregatorSet::new(per_loop), report))
     }
 
-    /// The dispatcher loop: waits on the listeners and on `exits` (a
-    /// byte per worker that left its loop), accepts, and deals
-    /// connections round-robin to the workers. Also the idle-deadline
-    /// authority of last resort — it re-checks the shared clock even
-    /// when every worker is parked on an empty loop.
+    /// The dispatcher loop: waits on the listeners and on `wakes` (a
+    /// byte per worker that left its loop and per stop request),
+    /// accepts, and deals connections round-robin to the workers. Also
+    /// the idle-deadline authority of last resort — it re-checks the
+    /// shared clock even when every worker is parked on an empty loop.
     fn dispatch(
         listeners: &[Listener],
         backend: &mut dyn Backend,
-        mut exits: &UnixStream,
+        mut wakes: &UnixStream,
         senders: &[mpsc::Sender<SessionStream>],
         shared: &ServeShared,
-        opts: &ServeOptions,
-        n: usize,
     ) -> io::Result<()> {
+        let n = senders.len();
         let mut rr = 0usize;
         let mut ready: Vec<u64> = Vec::new();
         loop {
             if shared.stopped() || shared.exited.load(Ordering::SeqCst) >= n {
                 return Ok(());
             }
-            // Worker exits wake the wait; only the idle deadline, which
-            // moves with every byte delivered, needs a timed slice.
-            let timeout_ms = match opts.accept_timeout {
+            // Stops and worker exits wake the wait; only the idle
+            // deadline, which moves with every byte delivered, needs a
+            // timed slice.
+            let timeout_ms = match shared.opts.accept_timeout {
                 Some(t) => {
                     let idle = shared.idle_for();
                     if idle >= t {
@@ -1709,14 +1553,17 @@ impl MultiLoopServer {
             for &token in &ready {
                 if token == TOKEN_WAKE {
                     // Drain (the backends are level-triggered); the
-                    // `exited` check above decides whether to end.
+                    // checks above decide whether to end.
                     let mut buf = [0u8; 64];
-                    while matches!(exits.read(&mut buf), Ok(n) if n > 0) {}
+                    while matches!(wakes.read(&mut buf), Ok(n) if n > 0) {}
                     continue;
                 }
                 let Some(listener) = listeners.get(token as usize) else {
                     continue;
                 };
+                // Accepting alone is *not* activity: a periodic prober
+                // (health check, port scan) must not defer the idle
+                // deadline forever — only delivered bytes do.
                 while let Some(stream) = listener.accept()? {
                     let mut stream = Some(stream);
                     // Round-robin, skipping workers that already
@@ -1743,87 +1590,6 @@ impl MultiLoopServer {
                 }
             }
         }
-    }
-}
-
-/// The blocking per-connection pump the **threaded** transport uses:
-/// reads `stream` to EOF, feeding each chunk to a [`SessionDriver`]
-/// under a short-lived aggregator lock (held per chunk, so concurrent
-/// sessions interleave freely).
-///
-/// A poisoned mutex — some *other* session thread panicked mid-feed —
-/// is recovered via [`PoisonError::into_inner`]: the aggregator's
-/// per-collector state is keyed by session, so the panicking session's
-/// damage cannot extend past its own id, and losing every completed
-/// session to a poison flag would be strictly worse.
-///
-/// A failed blocking pump: the I/O-level cause plus the collector id
-/// the session had established before dying — the triage handle an
-/// operator needs to tell *which* of N collectors is flapping (the
-/// event loop reports the same through [`SessionFailure::session`]).
-#[derive(Debug)]
-pub struct PumpError {
-    /// The session's established id, if it got that far.
-    pub session: Option<u64>,
-    /// What killed it ([`SessionError`] wrapped as `InvalidData`, or
-    /// the stream's read error).
-    ///
-    /// [`SessionError`]: crate::topology::SessionError
-    pub error: io::Error,
-}
-
-impl std::fmt::Display for PumpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.session {
-            Some(id) => write!(f, "session {id}: {}", self.error),
-            None => self.error.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for PumpError {}
-
-/// Returns the number of frames delivered (`0` ⇒ the connection was a
-/// probe and must not consume a collector slot).
-///
-/// # Errors
-///
-/// [`PumpError`] carrying the established session id (if any) and the
-/// cause. On failure the session's partial contribution has already
-/// been rolled back ([`SessionDriver::abort`]).
-pub fn pump_blocking(
-    stream: &mut impl Read,
-    agg: &Mutex<Aggregator>,
-    fallback_id: u64,
-) -> Result<usize, PumpError> {
-    fn lock(agg: &Mutex<Aggregator>) -> std::sync::MutexGuard<'_, Aggregator> {
-        agg.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-    let mut driver = SessionDriver::new(fallback_id);
-    let mut buf = [0u8; 64 * 1024];
-    let fail = |driver: &SessionDriver, error: io::Error| {
-        driver.abort(&mut lock(agg));
-        PumpError {
-            session: driver.session_id(),
-            error,
-        }
-    };
-    loop {
-        let n = match stream.read(&mut buf) {
-            Ok(n) => n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(fail(&driver, e)),
-        };
-        // Bind each step's result before inspecting it: the guard
-        // temporary in `lock(agg)` lives to the end of its statement,
-        // and `fail` needs the lock again.
-        if n == 0 {
-            let res = driver.finish(&mut lock(agg));
-            res.map_err(|e| fail(&driver, io::Error::new(io::ErrorKind::InvalidData, e)))?;
-            return Ok(driver.frames_delivered());
-        }
-        let res = driver.push(&buf[..n], &mut lock(agg));
-        res.map_err(|e| fail(&driver, io::Error::new(io::ErrorKind::InvalidData, e)))?;
     }
 }
 
@@ -1870,10 +1636,19 @@ mod tests {
         rx
     }
 
-    fn inject(server: &mut EventLoopServer, bytes: &[u8]) {
-        server
-            .add_session(loaded_stream(bytes))
-            .expect("add_session");
+    fn inject(server: &mut MultiLoopServer, bytes: &[u8]) {
+        server.add_session(loaded_stream(bytes));
+    }
+
+    /// A one-loop serve over a fresh aggregator.
+    fn one_loop(collectors: usize, accept_timeout: Option<Duration>) -> MultiLoopServer {
+        MultiLoopServer::new(
+            vec![Aggregator::new()],
+            ServeOptions {
+                collectors,
+                accept_timeout,
+            },
+        )
     }
 
     fn both_backends() -> [BackendKind; 2] {
@@ -1888,14 +1663,7 @@ mod tests {
             reference.offer(k, v);
         }
         for kind in both_backends() {
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 3,
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
+            let mut server = one_loop(3, None).with_backend(kind);
             for part in 0..3u64 {
                 let mine: Vec<_> = points
                     .iter()
@@ -1904,10 +1672,10 @@ mod tests {
                     .collect();
                 inject(&mut server, &session_bytes(part, &mine));
             }
-            let (agg, report) = server.run().expect("serve");
+            let (aggs, report) = server.run().expect("serve");
             assert_eq!(report.completed, 3, "backend {kind}");
             assert!(report.failures.is_empty(), "backend {kind}");
-            assert_eq!(agg.snapshot(), reference.snapshot(), "backend {kind}");
+            assert_eq!(aggs.snapshot(), reference.snapshot(), "backend {kind}");
         }
     }
 
@@ -1919,14 +1687,7 @@ mod tests {
             reference.offer(k, v);
         }
         for kind in both_backends() {
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 2,
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
+            let mut server = one_loop(2, None).with_backend(kind);
             // Two healthy halves…
             for part in 0..2u64 {
                 let mine: Vec<_> = points
@@ -1943,12 +1704,17 @@ mod tests {
             inject(&mut server, &torn[..torn.len() - 5]);
             inject(&mut server, b"");
             inject(&mut server, b"");
-            let (agg, report) = server.run().expect("serve survives hostility");
+            let (aggs, report) = server.run().expect("serve survives hostility");
             assert_eq!(report.completed, 2, "backend {kind}");
             assert_eq!(report.probes, 2, "backend {kind}");
-            assert_eq!(report.failures.len(), 2, "backend {kind}");
+            let failed: Vec<_> = report.failures.iter().map(|f| f.session).collect();
             assert_eq!(
-                agg.snapshot(),
+                failed,
+                vec![None, Some(700)],
+                "a failure names the collector it had established ({kind})"
+            );
+            assert_eq!(
+                aggs.snapshot(),
                 reference.snapshot(),
                 "hostile sessions must leave no trace in the snapshot ({kind})"
             );
@@ -1968,21 +1734,15 @@ mod tests {
             reference.offer(k, v);
         }
         for kind in both_backends() {
-            let mut server = EventLoopServer::new(
-                Aggregator::new(),
-                ServeOptions {
-                    collectors: 2, // Unreachable: the run ends when nothing is left.
-                    accept_timeout: None,
-                },
-            )
-            .with_backend(kind);
+            // Target 2 is unreachable: the run ends when nothing is left.
+            let mut server = one_loop(2, None).with_backend(kind);
             let mut spoof = Vec::new();
             let mut c = Collector::new(4, config());
             c.offer_batch(&keyed_points(2000, 4)); // Different data, same id.
             c.finish(&mut spoof).unwrap();
             inject(&mut server, &session_bytes(4, &points));
             inject(&mut server, &spoof);
-            let (agg, report) = server.run().expect("serve");
+            let (aggs, report) = server.run().expect("serve");
             assert_eq!(report.completed, 1, "backend {kind}");
             assert_eq!(report.failures.len(), 1, "backend {kind}");
             assert!(
@@ -1991,7 +1751,7 @@ mod tests {
                 report.failures[0].error
             );
             assert_eq!(
-                agg.snapshot(),
+                aggs.snapshot(),
                 reference.snapshot(),
                 "the spoofer must leave no trace ({kind})"
             );
@@ -2009,21 +1769,15 @@ mod tests {
             reference.offer(k, v);
         }
         let full = session_bytes(3, &points);
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: 1,
-                accept_timeout: None,
-            },
-        );
+        let mut server = one_loop(1, None);
         // Torn session first in token order (fails and frees the id),
         // the reconnect second.
         inject(&mut server, &full[..full.len() - 5]);
         inject(&mut server, &full);
-        let (agg, report) = server.run().expect("serve");
+        let (aggs, report) = server.run().expect("serve");
         assert_eq!(report.completed, 1);
         assert_eq!(report.failures.len(), 1, "the torn session failed");
-        assert_eq!(agg.snapshot(), reference.snapshot());
+        assert_eq!(aggs.snapshot(), reference.snapshot());
     }
 
     #[test]
@@ -2036,17 +1790,12 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let listener = UnixListener::bind(&path).expect("bind");
         let points = keyed_points(5000, 8);
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: 5, // Only one will ever arrive.
-                accept_timeout: Some(Duration::from_millis(50)),
-            },
-        );
+        // Only one of the 5 collectors will ever arrive.
+        let mut server = one_loop(5, Some(Duration::from_millis(50)));
         server.add_unix_listener(listener).expect("register");
         inject(&mut server, &session_bytes(0, &points));
         let start = Instant::now();
-        let (agg, report) = server.run().expect("serve");
+        let (aggs, report) = server.run().expect("serve");
         let _ = std::fs::remove_file(&path);
         assert!(report.timed_out);
         assert_eq!(report.completed, 1);
@@ -2054,7 +1803,7 @@ mod tests {
             start.elapsed() < Duration::from_secs(10),
             "must not block forever"
         );
-        assert_eq!(agg.collector_count(), 1, "the delivered session stays");
+        assert_eq!(aggs.collector_count(), 1, "the delivered session stays");
     }
 
     #[test]
@@ -2063,30 +1812,18 @@ mod tests {
         // arrive, so run() returns immediately — and that is a target
         // shortfall (completed < collectors), not a timeout.
         let points = keyed_points(5000, 8);
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: 5,
-                accept_timeout: None,
-            },
-        );
+        let mut server = one_loop(5, None);
         inject(&mut server, &session_bytes(0, &points));
-        let (agg, report) = server.run().expect("serve");
+        let (aggs, report) = server.run().expect("serve");
         assert!(!report.timed_out, "no accept_timeout was configured");
         assert_eq!(report.completed, 1);
-        assert_eq!(agg.collector_count(), 1);
+        assert_eq!(aggs.collector_count(), 1);
     }
 
     #[test]
     fn completed_sessions_report_their_delivery_counters() {
         let points = keyed_points(10_000, 16);
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: 2,
-                accept_timeout: None,
-            },
-        );
+        let mut server = one_loop(2, None);
         let halves: Vec<Vec<u8>> = (0..2u64)
             .map(|part| {
                 let mine: Vec<_> = points
@@ -2110,6 +1847,30 @@ mod tests {
         }
         let ids: Vec<_> = report.sessions.iter().map(|s| s.session).collect();
         assert_eq!(ids, vec![Some(0), Some(1)]);
+    }
+
+    #[test]
+    fn shutdown_accounts_for_a_connected_but_silent_session() {
+        // The target is one collector; a second client connected but
+        // never sent a byte. It is still open when the run stops, and
+        // the report must name it — every session is completed, a
+        // probe, a failure, or aborted.
+        let points = keyed_points(5000, 8);
+        for kind in both_backends() {
+            let mut server = one_loop(1, None).with_backend(kind);
+            inject(&mut server, &session_bytes(0, &points));
+            let (_silent_tx, silent_rx) = UnixStream::pair().expect("socketpair");
+            server.add_session(silent_rx);
+            let (aggs, report) = server.run().expect("serve");
+            assert_eq!(report.completed, 1, "{kind}");
+            assert_eq!(
+                report.completed + report.probes + report.failures.len() + report.aborted,
+                2,
+                "{kind}: every session is accounted for"
+            );
+            assert_eq!(report.aborted, 1, "{kind}: the silent session");
+            assert_eq!(aggs.collector_count(), 1, "{kind}");
+        }
     }
 
     #[test]
@@ -2278,41 +2039,5 @@ mod tests {
         b.deregister(rx_a.as_raw_fd()).expect("deregister");
         ready.clear();
         assert_eq!(b.wait(0, &mut ready).expect("wait"), 0);
-    }
-
-    #[test]
-    fn pump_blocking_recovers_a_poisoned_aggregator() {
-        let points = keyed_points(6000, 8);
-        let agg = Mutex::new(Aggregator::new());
-        // Poison the mutex the way a panicking session thread would.
-        let _ = std::thread::scope(|s| {
-            s.spawn(|| {
-                let _guard = agg.lock().unwrap();
-                panic!("session thread dies while holding the lock");
-            })
-            .join()
-        });
-        assert!(agg.lock().is_err(), "mutex must actually be poisoned");
-        let bytes = session_bytes(4, &points);
-        let frames =
-            pump_blocking(&mut bytes.as_slice(), &agg, FALLBACK_ID_BASE).expect("recovered");
-        assert!(frames > 0);
-        let guard = agg.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut reference = MonitorEngine::new(config());
-        for &(k, v) in &points {
-            reference.offer(k, v);
-        }
-        assert_eq!(guard.snapshot(), reference.snapshot());
-    }
-
-    #[test]
-    fn pump_blocking_rolls_back_failed_sessions() {
-        let agg = Mutex::new(Aggregator::new());
-        let bytes = session_bytes(6, &keyed_points(4000, 8));
-        let err = pump_blocking(&mut &bytes[..bytes.len() - 4], &agg, FALLBACK_ID_BASE)
-            .expect_err("mid-frame EOF must fail");
-        assert_eq!(err.error.kind(), io::ErrorKind::InvalidData);
-        assert_eq!(err.session, Some(6), "failure names the collector");
-        assert_eq!(agg.lock().unwrap().collector_count(), 0);
     }
 }

@@ -18,10 +18,7 @@
 use sst_monitor::fault::{FaultyLink, Front, Target};
 use sst_monitor::retry::{Backoff, SequencedSender};
 use sst_monitor::topology::{Aggregator, Collector};
-use sst_monitor::transport::{
-    pump_blocking, BackendKind, EventLoopServer, MultiLoopServer, ServeOptions, SessionStream,
-    FALLBACK_ID_BASE,
-};
+use sst_monitor::transport::{BackendKind, MultiLoopServer, ServeOptions, SessionStream};
 use sst_monitor::{
     encode_frame, encode_snapshot, Frame, MonitorConfig, MonitorEngine, SamplerSpec,
 };
@@ -29,7 +26,6 @@ use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 fn config(spec: SamplerSpec) -> MonitorConfig {
@@ -87,40 +83,23 @@ fn drive_collector(
     let _ = collector.finish(w);
 }
 
-/// Either serve shape under test, so the hostile-client scenario runs
-/// unchanged against a single loop or a multi-loop dispatcher.
-enum Serve {
-    Single(EventLoopServer),
-    Multi(MultiLoopServer),
+/// A serve on `loops` event loops over fresh aggregators, with a 60 s
+/// idle deadline as the hang guard.
+fn server(loops: usize, collectors: u64, kind: BackendKind) -> MultiLoopServer {
+    MultiLoopServer::new(
+        (0..loops).map(|_| Aggregator::new()).collect(),
+        ServeOptions {
+            collectors: collectors as usize,
+            accept_timeout: Some(Duration::from_secs(60)),
+        },
+    )
+    .with_backend(kind)
 }
 
-impl Serve {
-    fn add_unix_listener(&mut self, l: UnixListener) {
-        match self {
-            Serve::Single(s) => s.add_unix_listener(l).expect("register uds"),
-            Serve::Multi(s) => s.add_unix_listener(l).expect("register uds"),
-        }
-    }
-
-    fn add_tcp_listener(&mut self, l: TcpListener) {
-        match self {
-            Serve::Single(s) => s.add_tcp_listener(l).expect("register tcp"),
-            Serve::Multi(s) => s.add_tcp_listener(l).expect("register tcp"),
-        }
-    }
-
-    fn run(self) -> (sst_monitor::EngineSnapshot, sst_monitor::ServeReport) {
-        match self {
-            Serve::Single(s) => {
-                let (agg, rep) = s.run().expect("event loop");
-                (agg.snapshot(), rep)
-            }
-            Serve::Multi(s) => {
-                let (aggs, rep) = s.run().expect("event loops");
-                (aggs.snapshot(), rep)
-            }
-        }
-    }
+/// Runs `server` to completion and assembles its loops' snapshot.
+fn run(server: MultiLoopServer) -> (sst_monitor::EngineSnapshot, sst_monitor::ServeReport) {
+    let (aggs, rep) = server.run().expect("serve");
+    (aggs.snapshot(), rep)
 }
 
 /// The tentpole scenario: `n` collectors — even ids over the Unix
@@ -128,7 +107,7 @@ impl Serve {
 /// connect-and-close clients, against a live serve. The healthy `n`
 /// must assemble to the unsharded engine's bytes; the hostiles must be
 /// isolated, not fatal.
-fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve) {
+fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: MultiLoopServer) {
     let spec = SamplerSpec::Systematic { interval: 7 };
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in points {
@@ -142,8 +121,8 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
     let tcp = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
     let tcp_addr = tcp.local_addr().expect("tcp addr");
-    server.add_unix_listener(uds);
-    server.add_tcp_listener(tcp);
+    server.add_unix_listener(uds).expect("register uds");
+    server.add_tcp_listener(tcp).expect("register tcp");
 
     // Collector 0 holds its whole session back until every hostile
     // client has connected, written, and closed — so the server cannot
@@ -154,7 +133,7 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
     const N_HOSTILE: usize = 6;
 
     let (assembled, rep) = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(move || server.run());
+        let server_thread = scope.spawn(move || run(server));
         let mut clients = Vec::new();
         // Hostile client 1: garbage bytes on TCP.
         let hd = &hostiles_done;
@@ -255,6 +234,11 @@ fn hostile_mixed_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: 
         "{tag}: every hostile session ends up logged"
     );
     assert_eq!(
+        rep.completed + rep.probes + rep.failures.len() + rep.aborted,
+        n as usize + N_HOSTILE,
+        "{tag}: every accepted session is accounted for"
+    );
+    assert_eq!(
         rep.sessions.len(),
         n as usize,
         "{tag}: one stats entry per completed session"
@@ -276,15 +260,7 @@ fn event_loop_64_mixed_sessions_with_hostile_clients_match_unsharded_bytes() {
     const N: u64 = 64;
     let points = keyed_points(300_000, 512);
     for kind in backends_under_test() {
-        let server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
-        hostile_mixed_scenario(&format!("single_{kind}"), N, &points, Serve::Single(server));
+        hostile_mixed_scenario(&format!("single_{kind}"), N, &points, server(1, N, kind));
     }
 }
 
@@ -294,19 +270,11 @@ fn multi_loop_mixed_sessions_with_hostile_clients_match_unsharded_bytes() {
     let points = keyed_points(120_000, 256);
     for kind in backends_under_test() {
         for loops in [2usize, 4] {
-            let server = MultiLoopServer::new(
-                (0..loops).map(|_| Aggregator::new()).collect(),
-                ServeOptions {
-                    collectors: N as usize,
-                    accept_timeout: Some(Duration::from_secs(60)),
-                },
-            )
-            .with_backend(kind);
             hostile_mixed_scenario(
                 &format!("multi_{kind}_x{loops}"),
                 N,
                 &points,
-                Serve::Multi(server),
+                server(loops, N, kind),
             );
         }
     }
@@ -333,22 +301,15 @@ fn slow_sessions_complete_while_a_firehose_is_streaming() {
         let uds_path = dir.join("fair.sock");
         let _ = std::fs::remove_file(&uds_path);
         let uds = UnixListener::bind(&uds_path).expect("bind uds");
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: SLOW as usize,
-                // The hang guard: if the firehose *did* starve the
-                // slow sessions, this fails the test instead of
-                // wedging it.
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
+        // The 60 s idle deadline is the hang guard: if the firehose
+        // *did* starve the slow sessions, it fails the test instead of
+        // wedging it.
+        let mut server = server(1, SLOW, kind);
         server.add_unix_listener(uds).expect("register uds");
 
         let start = Instant::now();
-        let (agg, rep) = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(move || server.run().expect("event loop"));
+        let (assembled, rep) = std::thread::scope(|scope| {
+            let server_thread = scope.spawn(move || run(server));
             // The firehose: Hello, then an endless stream of large
             // Delta frames until the server hangs up on it.
             let fire_path = uds_path.clone();
@@ -410,18 +371,17 @@ fn slow_sessions_complete_while_a_firehose_is_streaming() {
             start.elapsed()
         );
         assert_eq!(
-            agg.snapshot(),
+            assembled,
             reference.snapshot(),
             "{kind}: the aborted firehose must leave no trace"
         );
     }
 }
 
-/// The two transports share one state machine, so the same sessions
-/// must assemble to the same bytes: threaded `pump_blocking` (mutexed
-/// aggregator) vs the event loop, over live Unix sockets.
+/// Under the BSS sampler too, sessions delivered over live sockets
+/// assemble to the unsharded engine's bytes.
 #[test]
-fn threaded_and_event_loop_transports_assemble_identical_bytes() {
+fn bss_sessions_over_live_sockets_assemble_unsharded_bytes() {
     let points = keyed_points(60_000, 96);
     let spec = SamplerSpec::Bss {
         interval: 11,
@@ -444,39 +404,15 @@ fn threaded_and_event_loop_transports_assemble_identical_bytes() {
         })
         .collect();
 
-    // Threaded: N concurrent blocking pumps over a shared mutex.
-    let threaded = {
-        let agg = Mutex::new(Aggregator::new());
-        std::thread::scope(|scope| {
-            for (i, pipe) in session_pipes.iter().enumerate() {
-                let agg = &agg;
-                scope.spawn(move || {
-                    let frames =
-                        pump_blocking(&mut pipe.as_slice(), agg, FALLBACK_ID_BASE + i as u64)
-                            .expect("clean session");
-                    assert!(frames > 0);
-                });
-            }
-        });
-        agg.into_inner().expect("no poison").snapshot()
-    };
-
-    // Event loop: the same byte streams over live sockets.
     let dir = std::env::temp_dir().join(format!("sst_transport_eq_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("socket dir");
     let uds_path = dir.join("eq.sock");
     let _ = std::fs::remove_file(&uds_path);
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
-    let mut server = EventLoopServer::new(
-        Aggregator::new(),
-        ServeOptions {
-            collectors: N as usize,
-            accept_timeout: Some(Duration::from_secs(60)),
-        },
-    );
+    let mut server = server(1, N, BackendKind::default());
     server.add_unix_listener(uds).expect("register uds");
-    let event_loop = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(move || server.run().expect("event loop"));
+    let served = std::thread::scope(|scope| {
+        let server_thread = scope.spawn(move || run(server));
         for pipe in &session_pipes {
             let uds_path = uds_path.clone();
             scope.spawn(move || {
@@ -484,20 +420,23 @@ fn threaded_and_event_loop_transports_assemble_identical_bytes() {
                 sock.write_all(pipe).expect("write session");
             });
         }
-        let (agg, rep) = server_thread.join().expect("server thread");
+        let (assembled, rep) = server_thread.join().expect("server thread");
         assert_eq!(rep.completed, N as usize);
-        agg.snapshot()
+        assembled
     });
     let _ = std::fs::remove_file(dir.join("eq.sock"));
 
-    assert_eq!(threaded, event_loop);
-    assert_eq!(encode_snapshot(&threaded), encode_snapshot(&event_loop));
-    // And both equal the unsharded engine (partitions cover every key).
+    // Partitions cover every key, so the serve equals the unsharded
+    // engine.
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in &points {
         reference.offer(k, v);
     }
-    assert_eq!(event_loop, reference.snapshot());
+    assert_eq!(served, reference.snapshot());
+    assert_eq!(
+        encode_snapshot(&served),
+        encode_snapshot(&reference.snapshot())
+    );
 }
 
 /// Streams partition `part` of `n_parts` through a *sequenced* (v3)
@@ -540,7 +479,13 @@ fn drive_sequenced(
 /// kills, delays, split writes) by seed-determined plans. Every
 /// forwarder must converge through retries, and the assembled snapshot
 /// must still be byte-identical to the unsharded engine.
-fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve, seed: u64) {
+fn faulted_scenario(
+    tag: &str,
+    n: u64,
+    points: &[(u64, f64)],
+    mut server: MultiLoopServer,
+    seed: u64,
+) {
     let spec = SamplerSpec::Systematic { interval: 7 };
     let mut reference = MonitorEngine::new(config(spec));
     for &(k, v) in points {
@@ -554,8 +499,8 @@ fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve,
     let uds = UnixListener::bind(&uds_path).expect("bind uds");
     let tcp = TcpListener::bind("127.0.0.1:0").expect("bind tcp");
     let tcp_addr = tcp.local_addr().expect("tcp addr");
-    server.add_unix_listener(uds);
-    server.add_tcp_listener(tcp);
+    server.add_unix_listener(uds).expect("register uds");
+    server.add_tcp_listener(tcp).expect("register tcp");
 
     // The proxies: every forwarder connects *through* these.
     const FAULTED_PER_PROXY: u64 = 40;
@@ -580,7 +525,7 @@ fn faulted_scenario(tag: &str, n: u64, points: &[(u64, f64)], mut server: Serve,
     .expect("spawn tcp proxy");
 
     let (assembled, rep) = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(move || server.run());
+        let server_thread = scope.spawn(move || run(server));
         let mut clients = Vec::new();
         for part in 0..n {
             let proxy_uds_path = proxy_uds_path.clone();
@@ -639,19 +584,11 @@ fn sequenced_sessions_survive_seeded_faults_single_loop() {
     const N: u64 = 64;
     let points = keyed_points(120_000, 256);
     for kind in backends_under_test() {
-        let server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
         faulted_scenario(
             &format!("single_{kind}"),
             N,
             &points,
-            Serve::Single(server),
+            server(1, N, kind),
             0xC0FFEE,
         );
     }
@@ -663,19 +600,11 @@ fn sequenced_sessions_survive_seeded_faults_multi_loop() {
     let points = keyed_points(120_000, 256);
     for kind in backends_under_test() {
         for loops in [2usize, 4] {
-            let server = MultiLoopServer::new(
-                (0..loops).map(|_| Aggregator::new()).collect(),
-                ServeOptions {
-                    collectors: N as usize,
-                    accept_timeout: Some(Duration::from_secs(60)),
-                },
-            )
-            .with_backend(kind);
             faulted_scenario(
                 &format!("multi_{kind}_x{loops}"),
                 N,
                 &points,
-                Serve::Multi(server),
+                server(loops, N, kind),
                 0xC0FFEE ^ loops as u64,
             );
         }
@@ -701,17 +630,10 @@ fn mixed_v2_and_v3_sessions_assemble_identical_bytes() {
         let uds_path = dir.join("mixed.sock");
         let _ = std::fs::remove_file(&uds_path);
         let uds = UnixListener::bind(&uds_path).expect("bind uds");
-        let mut server = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        )
-        .with_backend(kind);
+        let mut server = server(1, N, kind);
         server.add_unix_listener(uds).expect("register uds");
-        let (agg, rep) = std::thread::scope(|scope| {
-            let server_thread = scope.spawn(move || server.run().expect("event loop"));
+        let (assembled, rep) = std::thread::scope(|scope| {
+            let server_thread = scope.spawn(move || run(server));
             for part in 0..N {
                 let uds_path = uds_path.clone();
                 let points = &points;
@@ -739,7 +661,7 @@ fn mixed_v2_and_v3_sessions_assemble_identical_bytes() {
         assert_eq!(rep.completed, N as usize, "{kind}");
         assert!(rep.failures.is_empty(), "{kind}: {:?}", rep.failures);
         assert_eq!(
-            encode_snapshot(&agg.snapshot()),
+            encode_snapshot(&assembled),
             encode_snapshot(&reference.snapshot()),
             "{kind}: mixed-version serve must still assemble the reference bytes"
         );
@@ -772,17 +694,11 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
     // Serve 1 stops after ONE completed session — the throwaway dummy
     // below — stranding the 8 sequenced forwarders mid-stream.
     let uds1 = UnixListener::bind(&uds_path).expect("bind uds 1");
-    let mut serve1 = EventLoopServer::new(
-        Aggregator::new(),
-        ServeOptions {
-            collectors: 1,
-            accept_timeout: Some(Duration::from_secs(60)),
-        },
-    );
+    let mut serve1 = server(1, 1, BackendKind::default());
     serve1.add_unix_listener(uds1).expect("register uds 1");
 
-    let (agg2, rep2) = std::thread::scope(|scope| {
-        let serve1_thread = scope.spawn(move || serve1.run().expect("serve 1"));
+    let (assembled2, rep2) = std::thread::scope(|scope| {
+        let serve1_thread = scope.spawn(move || run(serve1));
         let mut clients = Vec::new();
         for part in 0..N {
             let uds_path = uds_path.clone();
@@ -829,15 +745,9 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
         // Same path, fresh process state: the restart.
         let _ = std::fs::remove_file(&uds_path);
         let uds2 = UnixListener::bind(&uds_path).expect("bind uds 2");
-        let mut serve2 = EventLoopServer::new(
-            Aggregator::new(),
-            ServeOptions {
-                collectors: N as usize,
-                accept_timeout: Some(Duration::from_secs(60)),
-            },
-        );
+        let mut serve2 = server(1, N, BackendKind::default());
         serve2.add_unix_listener(uds2).expect("register uds 2");
-        let serve2_thread = scope.spawn(move || serve2.run().expect("serve 2"));
+        let serve2_thread = scope.spawn(move || run(serve2));
         serve2_up.store(true, Ordering::SeqCst);
         for c in clients {
             c.join().expect("forwarder thread");
@@ -851,7 +761,7 @@ fn serve_restart_mid_run_survived_by_full_snapshot_resync() {
         "every forwarder must land on the restarted serve"
     );
     assert_eq!(
-        encode_snapshot(&agg2.snapshot()),
+        encode_snapshot(&assembled2),
         encode_snapshot(&reference.snapshot()),
         "restart must be invisible in the assembled bytes (full-snapshot resync)"
     );
